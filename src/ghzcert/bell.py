@@ -147,10 +147,6 @@ def pass_probability(rho: np.ndarray, game: NonlocalGame, settings=None) -> floa
     return 0.5 + violation(rho, f, settings) / (2.0 * f.beta_alg)
 
 
-def winning_probability_from_violation(beta: float, functional: BellFunctional) -> float:
-    return 0.5 + beta / (2.0 * functional.beta_alg)
-
-
 def classical_bound(functional: BellFunctional) -> float:
     """Maximum of the functional over all deterministic ±1 local strategies.
 

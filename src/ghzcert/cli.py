@@ -6,7 +6,9 @@ curves), ``replay`` (event-file analysis). Same flags and seed give
 byte-identical output; worker count never changes results.
 
 Exit status: 0 success, 1 infeasible certification or failed bound search
-(a report is still emitted), 2 usage errors.
+(a report is still emitted), 2 usage errors (a one-line JSON ``{"error": ...}``
+on stdout for values the argument parser cannot check). JSON output is
+strict: undefined values are ``null``, never NaN.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .certification import (
 from .replay import parse_events, replay
 from .selftest import (
     DEFAULT_GRID_STEP,
-    DEFAULT_S_TOL,
     BoundSearchError,
     bound_search,
     published_bound,
@@ -59,7 +60,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _csv(rows) -> str:
@@ -100,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
                          help="Jordan-angle grid step (must divide pi/2 evenly)")
-    p_bound.add_argument("--s-tol", type=float, default=DEFAULT_S_TOL,
-                         help="bisection tolerance on the slope")
+    p_bound.add_argument("--s-tol", type=float, default=None,
+                         help="ignored: the slope search is exact")
     p_bound.add_argument("--slack", type=float, default=1e-9,
                          help="allowed eigenvalue slack for grid feasibility")
     p_bound.add_argument("--refine", action="store_true",
@@ -167,7 +168,6 @@ def _cmd_bound(args) -> int:
         result = bound_search(
             functional,
             grid_step=step,
-            s_tol=args.s_tol,
             slack=args.slack,
             threads=args.threads,
             refine=args.refine,
@@ -271,7 +271,11 @@ _COMMANDS = {
 
 def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.subcommand](args)
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except ValueError as exc:  # argument values the parser cannot check
+        sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
+        return 2
 
 
 def main(argv=None) -> None:

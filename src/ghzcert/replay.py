@@ -16,7 +16,6 @@ keeps every event and shuffles.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .bell import NonlocalGame
@@ -210,7 +209,7 @@ def replay(
             "mode": mode,
             "n": n,
             "n_win": 0,
-            "pass_rate": math.nan,
+            "pass_rate": None,
             "held_out_index": None,
             "feasible": False,
         }

@@ -4,12 +4,15 @@ The slope s is certified numerically: both the Bell operator and a family of
 single-qubit extraction channels are parameterized by one Jordan angle per
 party, and s is feasible when the operator
 
-    K(ᾱ) − s·B(ᾱ) − μ·𝟙,   μ = 1 − s·β_Q,
+    K(ᾱ) − s·B(ᾱ) − μ·𝟙 = (K − 𝟙) + s·C,   μ = 1 − s·β_Q,   C = β_Q·𝟙 − B ⪰ 0,
 
-has nonnegative minimum eigenvalue at every angle tuple on a grid.
-``bound_search`` bisects on s for the smallest feasible slope; the grid pass
-is a chunked, order-independent parallel map with a deterministic
-minimum-reduction, so results do not depend on the worker count.
+has nonnegative minimum eigenvalue at every angle tuple on a grid. Because C
+is positive semidefinite, each grid point has a closed-form smallest feasible
+slope, the generalized eigenvalue λ_max(C^{-1/2}(𝟙 − K)C^{-1/2})
+(``slope_thresholds``). ``bound_search`` takes the maximum threshold over the
+grid in one pass and checks it with one certificate pass (``evaluate_grid``).
+Both passes are chunked, order-independent parallel maps with exact max/min
+reductions, so results do not depend on the worker count.
 
 Grid certification is necessary-only evidence for the continuum inequality;
 results carry the grid step, the worst grid point and an optional locally
@@ -20,22 +23,33 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import BellFunctional, get_functional
-from .quantum import I2, ghz_state, is_dichotomic, min_eigenvalue
+from .quantum import I2, ghz_state, is_dichotomic
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_GRID_STEP = math.pi / 60
-DEFAULT_S_TOL = 1e-4
 DEFAULT_SLACK = 1e-9
 SATURATION_TOL = 2e-4  # published constants are rounded to ~4 decimals
+#: an eigenvalue of C below KERNEL_TOL·β_Q counts as zero, and so does an entry
+#: of (𝟙 − K) on that kernel below KERNEL_TOL: far above the ~1e-15 rounding at
+#: the ideal point, far below C's eigenvalues at every other grid point
+KERNEL_TOL = 1e-9
+#: a search splits the grid into at least SEARCH_CHUNKS chunks, so that small
+#: grids still spread over the workers, of at most SEARCH_CHUNK_ROWS points,
+#: which bounds the memory of a threshold chunk; chunks never depend on the
+#: worker count
+SEARCH_CHUNKS = 8
+SEARCH_CHUNK_ROWS = 2048
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
 #: the π/12 grid certificate; mermin's 0.1875 provably cannot pass it: at the
@@ -191,20 +205,66 @@ def _bases_for(functional: BellFunctional) -> list[tuple[np.ndarray, np.ndarray]
     return [sigma_basis(pair) for pair in functional.ideal_settings]
 
 
-def _embed_party(mats: np.ndarray, party: int, parties: int) -> np.ndarray:
-    """Lift a batch of 2×2 matrices to the full space: 𝟙 ⊗ … ⊗ M ⊗ … ⊗ 𝟙."""
-    left = np.eye(2**party, dtype=complex)
-    right = np.eye(2 ** (parties - 1 - party), dtype=complex)
-    out = np.einsum("ab,ncd,ef->nacebdf", left, mats, right)
-    dim = 2**parties
-    return out.reshape(mats.shape[0], dim, dim)
-
-
 def _kron4_batch(factors: list[np.ndarray]) -> np.ndarray:
     """Batched 4-party Kronecker product of (n,2,2) arrays, party 1 leftmost."""
     out = np.einsum("nab,ncd,nef,ngh->nacegbdfh", *factors)
     n = factors[0].shape[0]
     return out.reshape(n, 16, 16)
+
+
+def _extraction_operators(angles: np.ndarray, branches: np.ndarray, bases) -> np.ndarray:
+    """K(ᾱ): each party's extraction channel applied to the GHZ projector, batched."""
+    n = angles.shape[0]
+    g = (1.0 + SQRT2) * (np.sin(angles) + np.cos(angles) - 1.0)
+    pw = 0.5 * (1.0 + g)
+    qw = 0.5 * (1.0 - g)
+    identity_batch = np.broadcast_to(I2, (n, 2, 2))
+    k_op = np.broadcast_to(ghz_state(4), (n, 16, 16)).copy()
+    for p, (plus, minus) in enumerate(bases):
+        gamma = np.where(branches[:, p, None, None] == 1, plus, minus)
+        big_gamma = _kron4_batch([gamma if q == p else identity_batch for q in range(4)])
+        k_op = pw[:, p, None, None] * k_op + qw[:, p, None, None] * (
+            big_gamma @ k_op @ big_gamma
+        )
+    return k_op
+
+
+def certificate_operators(
+    angles: np.ndarray,
+    branches: np.ndarray,
+    functional: BellFunctional,
+    bases=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K(ᾱ), B(ᾱ)) for a batch of angle tuples, each of shape (n, 16, 16).
+
+    ``angles`` and ``branches`` have shape (n, parties).
+    """
+    if functional.parties != 4:
+        raise ValueError("certificate evaluation supports 4 parties")
+    if bases is None:
+        bases = _bases_for(functional)
+    angles = np.asarray(angles, dtype=float)
+    branches = np.asarray(branches, dtype=int)
+    n = angles.shape[0]
+
+    cos = np.cos(angles)
+    sin = np.sin(angles)
+    obs = []  # obs[party][setting] -> (n,2,2)
+    for p, (plus, minus) in enumerate(bases):
+        c = cos[:, p, None, None]
+        d = sin[:, p, None, None]
+        obs.append((c * plus + d * minus, c * plus - d * minus))
+
+    bell_op = np.zeros((n, 16, 16), dtype=complex)
+    identity_batch = np.broadcast_to(I2, (n, 2, 2))
+    for term in functional.terms:
+        factors = [
+            identity_batch if setting is None else obs[p][setting]
+            for p, setting in enumerate(term.settings)
+        ]
+        bell_op += term.coefficient * _kron4_batch(factors)
+
+    return _extraction_operators(angles, branches, bases), bell_op
 
 
 def certificate_eigenvalues(
@@ -219,48 +279,42 @@ def certificate_eigenvalues(
     ``angles`` and ``branches`` have shape (n, parties); μ is slaved to s via
     μ = 1 − s·β_Q.
     """
-    if functional.parties != 4:
-        raise ValueError("certificate evaluation supports 4 parties")
-    if bases is None:
-        bases = _bases_for(functional)
-    angles = np.asarray(angles, dtype=float)
-    branches = np.asarray(branches, dtype=int)
-    n = angles.shape[0]
+    k_op, bell_op = certificate_operators(angles, branches, functional, bases)
     mu = 1.0 - s * functional.beta_q
-
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    obs = []  # obs[party][setting] -> (n,2,2)
-    gammas = []
-    for p, (plus, minus) in enumerate(bases):
-        c = cos[:, p, None, None]
-        d = sin[:, p, None, None]
-        obs.append((c * plus + d * minus, c * plus - d * minus))
-        gammas.append(np.where(branches[:, p, None, None] == 1, plus, minus))
-
-    bell_op = np.zeros((n, 16, 16), dtype=complex)
-    identity_batch = np.broadcast_to(I2, (n, 2, 2))
-    for term in functional.terms:
-        factors = [
-            identity_batch if setting is None else obs[p][setting]
-            for p, setting in enumerate(term.settings)
-        ]
-        bell_op += term.coefficient * _kron4_batch(factors)
-
-    g = (1.0 + SQRT2) * (sin + cos - 1.0)
-    pw = 0.5 * (1.0 + g)
-    qw = 0.5 * (1.0 - g)
-    k_op = np.broadcast_to(ghz_state(4), (n, 16, 16)).copy()
-    for p in range(4):
-        big_gamma = _embed_party(gammas[p], p, 4)
-        k_op = pw[:, p, None, None] * k_op + qw[:, p, None, None] * (
-            big_gamma @ k_op @ big_gamma
-        )
-
     cert = k_op - s * bell_op
     idx = np.arange(16)
     cert[:, idx, idx] -= mu
     return np.linalg.eigvalsh(cert)[:, 0].real
+
+
+def slope_thresholds(
+    angles: np.ndarray,
+    branches: np.ndarray,
+    functional: BellFunctional,
+    bases=None,
+) -> np.ndarray:
+    """Smallest slope passing the certificate at each angle tuple of a batch.
+
+    The certificate is (K − 𝟙) + s·C with C = β_Q·𝟙 − B ⪰ 0, so it is
+    positive semidefinite exactly when s ≥ λ_max(C^{-1/2}(𝟙 − K)C^{-1/2}) on
+    the range of C and 𝟙 − K vanishes on the kernel of C; where it does not
+    vanish no slope passes and the threshold is ∞.
+    """
+    k_op, bell_op = certificate_operators(angles, branches, functional, bases)
+    idx = np.arange(16)
+    c_op = -bell_op
+    c_op[:, idx, idx] += functional.beta_q
+    a_op = -k_op
+    a_op[:, idx, idx] += 1.0
+    lam, vec = np.linalg.eigh(c_op)
+    kernel = lam <= KERNEL_TOL * functional.beta_q
+    whiten = vec / np.sqrt(np.where(kernel, np.inf, lam))[:, None, :]
+    pencil = whiten.conj().transpose(0, 2, 1) @ a_op @ whiten
+    thresholds = np.linalg.eigvalsh(pencil)[:, -1]
+    singular = np.flatnonzero(kernel.any(axis=1))
+    leak = a_op[singular] @ (vec[singular] * kernel[singular, None, :])
+    thresholds[singular[np.abs(leak).max(axis=(1, 2)) > KERNEL_TOL]] = np.inf
+    return thresholds
 
 
 def certificate_min_eig(s: float, point: JordanPoint, functional: BellFunctional) -> float:
@@ -274,18 +328,9 @@ def build_K(point: JordanPoint, functional: BellFunctional | None = None) -> np.
     """Extraction channels applied factor-wise to the GHZ projector."""
     if functional is None:
         functional = get_functional("mermin")
-    bases = _bases_for(functional)
-    branches = point.resolved_branches()
-    rho = ghz_state(4)
-    for p, alpha in enumerate(point.angles):
-        gamma = np.asarray(
-            _embed_party(
-                np.array([bases[p][0] if branches[p] == 1 else bases[p][1]]), p, 4
-            )[0]
-        )
-        g = channel_weight(alpha)
-        rho = 0.5 * (1.0 + g) * rho + 0.5 * (1.0 - g) * (gamma @ rho @ gamma)
-    return rho
+    angles = np.array([point.angles], dtype=float)
+    branches = np.array([point.resolved_branches()], dtype=int)
+    return _extraction_operators(angles, branches, _bases_for(functional))[0]
 
 
 def is_party_symmetric(functional: BellFunctional) -> bool:
@@ -361,12 +406,15 @@ def _init_worker(functional: BellFunctional, node_angles, node_branches, indices
     _WORKER["indices"] = indices
 
 
+def _chunk_points(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    idx = _WORKER["indices"][start:stop]
+    return idx, _WORKER["angles"][idx], _WORKER["branches"][idx]
+
+
 def _eval_chunk(args) -> tuple:
     """Evaluate one chunk; returns its k smallest (value, node-index-tuple) pairs."""
-    s, start, stop, keep = args
-    idx = _WORKER["indices"][start:stop]
-    angles = _WORKER["angles"][idx]
-    branches = _WORKER["branches"][idx]
+    start, stop, s, keep = args
+    idx, angles, branches = _chunk_points(start, stop)
     values = certificate_eigenvalues(
         s, angles, branches, _WORKER["functional"], _WORKER["bases"]
     )
@@ -374,6 +422,59 @@ def _eval_chunk(args) -> tuple:
     order = np.argpartition(values, keep - 1)[:keep]
     pairs = sorted((float(values[i]), tuple(int(v) for v in idx[i])) for i in order)
     return pairs
+
+
+def _threshold_chunk(args) -> float:
+    """Largest slope threshold in one chunk."""
+    start, stop = args
+    _, angles, branches = _chunk_points(start, stop)
+    return float(
+        np.max(slope_thresholds(angles, branches, _WORKER["functional"], _WORKER["bases"]))
+    )
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A functional's Jordan-angle grid, installed in this process or in workers.
+
+    ``map`` is an order-preserving map over chunk tasks: the builtin with one
+    worker, a process pool's otherwise.
+    """
+
+    node_angles: np.ndarray
+    node_branches: np.ndarray
+    size: int
+    map: Callable
+
+    def map_chunks(self, fn: Callable, chunk_size: int, *extra) -> list:
+        """``fn((start, stop, *extra))`` for consecutive chunks of grid points, in order."""
+        tasks = [
+            (start, min(start + chunk_size, self.size), *extra)
+            for start in range(0, self.size, chunk_size)
+        ]
+        return list(self.map(fn, tasks))
+
+
+@contextmanager
+def open_grid(functional: BellFunctional, grid_step: float, threads: int = 1):
+    """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its passes.
+
+    The grid is the product of branch-resolved nodes, reduced to sorted tuples
+    when the functional is party-symmetric (which leaves every extremum over
+    the grid unchanged).
+    """
+    node_angles, node_branches = angle_nodes(grid_step)
+    symmetric = is_party_symmetric(functional)
+    indices = _grid_indices(len(node_angles), functional.parties, symmetric)
+    init_args = (functional, node_angles, node_branches, indices)
+    if threads > 1:
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=init_args
+        ) as pool:
+            yield Grid(node_angles, node_branches, len(indices), pool.map)
+    else:
+        _init_worker(*init_args)
+        yield Grid(node_angles, node_branches, len(indices), map)
 
 
 @dataclass(frozen=True)
@@ -392,37 +493,23 @@ def evaluate_grid(
     threads: int = 1,
     keep_worst: int = 1,
     chunk_size: int = 4096,
+    grid: Grid | None = None,
 ) -> GridEvaluation:
     """Minimum certificate eigenvalue over the full Jordan-angle grid.
 
-    The grid is the product of branch-resolved nodes (reduced to sorted
-    tuples when the functional is party-symmetric, which leaves the minimum
-    unchanged). Chunks are reduced by (value, point) pairs in fixed order, so
-    the result is identical for any worker count.
+    Chunks are reduced by (value, point) pairs in fixed order, so the result
+    is identical for any worker count. ``grid``, an :func:`open_grid` of the
+    same functional and step, reuses its workers instead of starting new ones.
     """
-    node_angles, node_branches = angle_nodes(grid_step)
-    symmetric = is_party_symmetric(functional)
-    indices = _grid_indices(len(node_angles), functional.parties, symmetric)
-
-    tasks = [
-        (s, start, min(start + chunk_size, len(indices)), keep_worst)
-        for start in range(0, len(indices), chunk_size)
-    ]
-    init_args = (functional, node_angles, node_branches, indices)
-    if threads > 1:
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=init_args
-        ) as pool:
-            chunk_results = list(pool.map(_eval_chunk, tasks))
-    else:
-        _init_worker(*init_args)
-        chunk_results = [_eval_chunk(t) for t in tasks]
+    opened = open_grid(functional, grid_step, threads) if grid is None else nullcontext(grid)
+    with opened as grid:
+        chunk_results = grid.map_chunks(_eval_chunk, chunk_size, s, keep_worst)
 
     merged = sorted(pair for chunk in chunk_results for pair in chunk)[:keep_worst]
     min_eig, worst_idx = merged[0]
     worst = JordanPoint(
-        angles=tuple(float(node_angles[i]) for i in worst_idx),
-        branches=tuple(int(node_branches[i]) for i in worst_idx),
+        angles=tuple(float(grid.node_angles[i]) for i in worst_idx),
+        branches=tuple(int(grid.node_branches[i]) for i in worst_idx),
     )
     return GridEvaluation(min_eig=min_eig, worst_point=worst, worst_nodes=tuple(merged))
 
@@ -470,47 +557,45 @@ def _refine_minimum(
 def bound_search(
     functional: BellFunctional,
     grid_step: float = DEFAULT_GRID_STEP,
-    s_tol: float = DEFAULT_S_TOL,
     slack: float = DEFAULT_SLACK,
     threads: int = 1,
     refine: bool = False,
 ) -> BoundSearchResult:
-    """Smallest slope s (bisection on [0, 1]) passing the grid certificate.
+    """Smallest slope s passing the grid certificate, found exactly in one pass.
 
-    Feasibility of s means the certificate's minimum eigenvalue stays above
-    −``slack`` at every grid point; μ is always 1 − s·β_Q. Raises
-    :class:`BoundSearchError` when even s = 1 fails, which signals a wrong
-    channel family or functional.
+    s is the maximum over the grid of the per-point thresholds
+    (:func:`slope_thresholds`). One :func:`evaluate_grid` pass at s, on the
+    same workers, verifies it: the certificate's minimum eigenvalue must stay
+    above −``slack`` at every grid point; μ is always 1 − s·β_Q. Raises
+    :class:`BoundSearchError` when no slope in [0, 1] passes, which signals a
+    wrong channel family or functional, or when s fails the verification.
     """
-
-    def feasible(s: float) -> bool:
-        return evaluate_grid(s, functional, grid_step, threads).min_eig >= -slack
-
-    if not feasible(1.0):
-        raise BoundSearchError(
-            "certificate infeasible at s=1; channel family does not match the functional"
+    with open_grid(functional, grid_step, threads) as grid:
+        rows = min(SEARCH_CHUNK_ROWS, -(-grid.size // SEARCH_CHUNKS))
+        s = max(grid.map_chunks(_threshold_chunk, rows))
+        if not s <= 1.0:
+            raise BoundSearchError(
+                "certificate infeasible at s=1; channel family does not match the functional"
+            )
+        final = evaluate_grid(
+            s, functional, grid_step, threads, keep_worst=100 if refine else 1,
+            chunk_size=rows, grid=grid,
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > s_tol:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    final = evaluate_grid(
-        hi, functional, grid_step, threads, keep_worst=100 if refine else 1
-    )
+    if final.min_eig < -slack:
+        raise BoundSearchError(
+            f"threshold slope {s!r} fails the grid certificate "
+            f"(minimum eigenvalue {final.min_eig!r} below -{slack!r})"
+        )
     min_eig, worst = final.min_eig, final.worst_point
     if refine:
         node_angles, node_branches = angle_nodes(grid_step)
         refined_val, refined_point = _refine_minimum(
-            hi, functional, final.worst_nodes, node_angles, node_branches, grid_step
+            s, functional, final.worst_nodes, node_angles, node_branches, grid_step
         )
         if refined_val < min_eig:
             min_eig, worst = refined_val, refined_point
     return BoundSearchResult(
-        bound=SelfTestBound.from_slope(hi, functional),
+        bound=SelfTestBound.from_slope(s, functional),
         grid_step=grid_step,
         worst_point=worst,
         min_eig=min_eig,

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ghzcert
 from ghzcert.cli import build_parser, dispatch
 
 
@@ -56,6 +59,20 @@ def test_usage_error_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         dispatch(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--grid-step", "0.3"],  # does not divide pi/2
+        ["sweep", "--figure", "fig4"],  # fig4 needs --pass-rate
+    ],
+)
+def test_invalid_value_is_usage_error_with_json(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert set(json.loads(out)) == {"error"}
 
 
 @pytest.mark.parametrize(
@@ -199,12 +216,33 @@ def test_replay_cli_round_trip(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the ghzcert under test, also when only pytest's
+    # pythonpath setting put it on sys.path
+    package_root = str(Path(ghzcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ghzcert.cli", "certify", "--n", "4643",
          "--delta", "0.01", "--pass-rate", "0.973", "--operator", "mermin"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["certified_extractability"] == pytest.approx(
         0.896, abs=2e-3
     )
+
+
+def test_replay_single_event_is_strict_json(tmp_path, capsys):
+    """One event leaves no verification rounds: the pass rate is null, not NaN."""
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps(
+        {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": [1, 1, 1, 1]}
+    ) + "\n")
+    code, out = run_cli(["replay", "--input", str(path)], capsys)
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["pass_rate"] is None
+    assert code == 1

@@ -1,5 +1,6 @@
 """Jordan certificate machinery and the self-testing bound search."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from ghzcert.bell import (
     baccari_functional,
+    get_functional,
     mermin_functional,
     term_operator,
     violation,
@@ -15,6 +17,7 @@ from ghzcert.bell import (
 )
 from ghzcert.quantum import X, Y, expectation, ghz_state, hermitian_eigenvalues
 from ghzcert.selftest import (
+    BoundSearchError,
     JordanPoint,
     SelfTestBound,
     angle_nodes,
@@ -30,6 +33,7 @@ from ghzcert.selftest import (
     jordan_observable,
     published_bound,
     sigma_basis,
+    slope_thresholds,
     snap_grid_step,
 )
 
@@ -272,7 +276,7 @@ def test_bound_search_coarse_grid():
     ``test_biseparable_witness_floors_mermin_slope``).
     """
     f = mermin_functional()
-    result = bound_search(f, grid_step=math.pi / 12, s_tol=1e-3)
+    result = bound_search(f, grid_step=math.pi / 12)
     assert 0.21 <= result.bound.s <= 0.23
     assert result.bound.mu == pytest.approx(1 - 8 * result.bound.s, abs=1e-12)
     assert result.min_eig >= -1e-9
@@ -281,8 +285,79 @@ def test_bound_search_coarse_grid():
 
 def test_bound_search_refinement_reports_lower_minimum():
     f = mermin_functional()
-    plain = bound_search(f, grid_step=math.pi / 8, s_tol=1e-2)
-    refined = bound_search(f, grid_step=math.pi / 8, s_tol=1e-2, refine=True)
+    plain = bound_search(f, grid_step=math.pi / 8)
+    refined = bound_search(f, grid_step=math.pi / 8, refine=True)
     assert refined.refined
     assert refined.bound.s == plain.bound.s
     assert refined.min_eig <= plain.min_eig + 1e-15
+
+
+def _threshold(angles, functional):
+    point = JordanPoint(angles=angles)
+    return float(
+        slope_thresholds(
+            np.array([point.angles]), np.array([point.resolved_branches()]), functional
+        )[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "angles, expected",
+    [
+        ((QUARTER,) * 4, 1 / 8),  # ideal point: C is singular on the GHZ vector
+        ((0.0,) * 4, 7 / 32),
+        ((0.0, QUARTER, QUARTER, QUARTER), (2 + math.sqrt(2)) / 16),
+    ],
+)
+def test_slope_threshold_closed_forms(angles, expected):
+    """Per-point thresholds equal the spectrum (8s − 1), corner (4s − 7/8)
+    and biseparable-witness oracles above."""
+    assert _threshold(angles, mermin_functional()) == pytest.approx(expected, abs=1e-12)
+
+
+def test_slope_threshold_infinite_when_kernel_misses_ghz():
+    """Negated Mermin: C vanishes on GHZ⁻, where 𝟙 − K = 1, so no slope passes."""
+    f = mermin_functional()
+    negated = dataclasses.replace(
+        f, terms=tuple(dataclasses.replace(t, coefficient=-t.coefficient) for t in f.terms)
+    )
+    assert _threshold((QUARTER,) * 4, negated) == math.inf
+    with pytest.raises(BoundSearchError, match="infeasible at s=1"):
+        bound_search(negated, grid_step=math.pi / 8)
+
+
+def _bisected_slope(functional, grid_step, tol=1e-4, slack=1e-9):
+    """Reference search: bisection on [0, 1] over full certificate passes."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if evaluate_grid(mid, functional, grid_step=grid_step).min_eig >= -slack:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_bound_search_returns_exact_grid_threshold(operator):
+    f = get_functional(operator)
+    step = math.pi / 12
+    s = bound_search(f, grid_step=step).bound.s
+    assert evaluate_grid(s, f, grid_step=step).min_eig >= -1e-9
+    assert evaluate_grid(s - 1e-6, f, grid_step=step).min_eig < 0
+    assert abs(s - _bisected_slope(f, step)) <= 1e-4
+
+
+def test_bound_search_rejects_slope_failing_verification():
+    """The returned slope is checked by a certificate pass: demanding a margin
+    of 1e-3 fails at the exact threshold, where the minimum eigenvalue is 0."""
+    with pytest.raises(BoundSearchError, match="fails the grid certificate"):
+        bound_search(mermin_functional(), grid_step=math.pi / 8, slack=-1e-3)
+
+
+def test_bound_search_thread_count_invariant():
+    """Two threshold chunks (4096 zhao points) and one shared pool per search."""
+    f = zhao_functional()
+    ref = bound_search(f, grid_step=math.pi / 12, threads=1)
+    for threads in (2, 3):
+        assert bound_search(f, grid_step=math.pi / 12, threads=threads) == ref
