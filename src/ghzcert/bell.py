@@ -290,20 +290,26 @@ def functional_to_json(functional: BellFunctional) -> str:
 
 
 def functional_from_json(text: str) -> BellFunctional:
+    """Inverse of :func:`functional_to_json`; a missing field raises ValueError."""
     doc = json.loads(text)
-    terms = tuple(
-        BellTerm(float(t["coefficient"]), tuple(t["settings"])) for t in doc["terms"]
-    )
-    settings = tuple(
-        (_matrix_from_json(p0), _matrix_from_json(p1))
-        for p0, p1 in doc["ideal_settings"]
-    )
-    return BellFunctional(
-        name=doc["name"],
-        parties=int(doc["parties"]),
-        terms=terms,
-        beta_q=float(doc["beta_q"]),
-        beta_c=float(doc["beta_c"]),
-        beta_alg=float(doc["beta_alg"]),
-        ideal_settings=settings,
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("functional JSON must be an object")
+    try:
+        terms = tuple(
+            BellTerm(float(t["coefficient"]), tuple(t["settings"])) for t in doc["terms"]
+        )
+        settings = tuple(
+            (_matrix_from_json(p0), _matrix_from_json(p1))
+            for p0, p1 in doc["ideal_settings"]
+        )
+        return BellFunctional(
+            name=doc["name"],
+            parties=int(doc["parties"]),
+            terms=terms,
+            beta_q=float(doc["beta_q"]),
+            beta_c=float(doc["beta_c"]),
+            beta_alg=float(doc["beta_alg"]),
+            ideal_settings=settings,
+        )
+    except KeyError as exc:
+        raise ValueError(f"functional JSON is missing field {exc.args[0]!r}") from None

@@ -7,8 +7,9 @@ byte-identical output; worker count never changes results.
 
 Exit status: 0 success, 1 infeasible certification or failed bound search
 (a report is still emitted), 2 usage errors (a one-line JSON ``{"error": ...}``
-on stdout for values the argument parser cannot check). JSON output is
-strict: undefined values are ``null``, never NaN.
+on stdout for values the argument parser cannot check and for input files
+that cannot be read). JSON output is strict: undefined values are ``null``,
+never NaN.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -40,14 +40,6 @@ from .simulate import BlockCorrelated, Drifting, IIDNoisy, run_protocol
 
 DEFAULT_SEED = 271828
 OPERATOR_CHOICES = ("mermin", "baccari", "zhao")
-THREADS_ENV = "GHZCERT_THREADS"
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -107,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed eigenvalue slack for grid feasibility")
     p_bound.add_argument("--refine", action="store_true",
                          help="refine locally around the worst grid points")
-    p_bound.add_argument("--threads", type=int, default=_default_threads(),
-                         help=f"grid workers (default ${THREADS_ENV} or 1)")
+    p_bound.add_argument("--threads", type=int, default=1, help="grid workers")
     add_common(p_bound, seed=False)
 
     p_cert = sub.add_parser("certify", help="maximum certified extractability")
@@ -191,7 +182,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_certify(args) -> int:
     functional, game, bound = operator_context(args.operator)
-    mu_meas = args.mu_meas if args.mu_meas is not None else (args.n - 1) / args.n
+    # max(n, 1) leaves n < 2 for CertificationQuery to reject as a usage error
+    mu_meas = args.mu_meas if args.mu_meas is not None else (args.n - 1) / max(args.n, 1)
     query = CertificationQuery(
         n=args.n, delta=args.delta, pass_rate=args.pass_rate,
         bound=bound, p_qm=game.p_qm, mu_meas=mu_meas,
@@ -273,7 +265,7 @@ def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except ValueError as exc:  # argument values the parser cannot check
+    except (ValueError, OSError) as exc:  # argument values and files the parser cannot check
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

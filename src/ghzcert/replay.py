@@ -142,12 +142,8 @@ def _score(game: NonlocalGame, inputs: tuple, outcomes: tuple, rng) -> bool:
 
 def strict_select(
     events: list[EventRecord], game: NonlocalGame, seed: int = 0
-) -> tuple[list[ReplayRound], int]:
-    """One uniformly chosen event per window, in order of first appearance.
-
-    Returns (rounds, skipped-window count); the count exists for interface
-    completeness and is zero for any parseable file.
-    """
+) -> list[ReplayRound]:
+    """One uniformly chosen event per window, in order of first appearance."""
     order: list[int] = []
     grouped: dict[int, list[EventRecord]] = {}
     for event in events:
@@ -161,7 +157,7 @@ def strict_select(
         pick = bunch[int(rng_for(seed, window_id, TAG_SELECT).integers(0, len(bunch)))]
         won = _score(game, pick.input, pick.outcomes, rng_for(seed, window_id, TAG_SCORE))
         rounds.append(ReplayRound(window_id, pick.input, pick.outcomes, won))
-    return rounds, 0
+    return rounds
 
 
 def decomposed(
@@ -197,7 +193,7 @@ def replay(
 ) -> dict:
     """Full replay: rounds from events, hold-out, pass rate, certification."""
     if mode == "strict":
-        rounds, _ = strict_select(events, game, seed)
+        rounds = strict_select(events, game, seed)
     elif mode == "decomposed":
         rounds = decomposed(events, game, seed)
     else:

@@ -14,6 +14,14 @@ grid in one pass and checks it with one certificate pass (``evaluate_grid``).
 Both passes are chunked, order-independent parallel maps with exact max/min
 reductions, so results do not depend on the worker count.
 
+Both operators are multilinear in one 3-vector per party over that party's
+basis (𝟙, σ₊, σ₋), with σ± = (O₀ ± O₁)/√2 from its ideal settings. A Jordan
+observable is cos α·σ₊ ± sin α·σ₋, so B weighs the basis by (1, cos α, sin α);
+an extraction channel is p·ρ + q·ΓρΓ with Γ = σ₊ or σ₋ by branch, so K weighs
+it by (p, q·[branch = +1], q·[branch = −1]). Each operator is therefore the
+81-entry outer product of the four vectors times a fixed table of 81 16×16
+operators (``certificate_operators``): one real matrix product per batch.
+
 Grid certification is necessary-only evidence for the continuum inequality;
 results carry the grid step, the worst grid point and an optional locally
 refined minimum so that status stays explicit.
@@ -44,7 +52,7 @@ SATURATION_TOL = 2e-4  # published constants are rounded to ~4 decimals
 #: of (𝟙 − K) on that kernel below KERNEL_TOL: far above the ~1e-15 rounding at
 #: the ideal point, far below C's eigenvalues at every other grid point
 KERNEL_TOL = 1e-9
-#: a search splits the grid into at least SEARCH_CHUNKS chunks, so that small
+#: a grid pass splits the grid into at least SEARCH_CHUNKS chunks, so that small
 #: grids still spread over the workers, of at most SEARCH_CHUNK_ROWS points,
 #: which bounds the memory of a threshold chunk; chunks never depend on the
 #: worker count
@@ -178,9 +186,9 @@ def jordan_observable(alpha: float, setting: int, basis) -> np.ndarray:
     return math.cos(alpha) * plus + sign * math.sin(alpha) * minus
 
 
-def channel_weight(alpha: float) -> float:
-    """Mixing weight g(α) = (1+√2)(sin α + cos α − 1); equals 1 at π/4."""
-    return (1.0 + SQRT2) * (math.sin(alpha) + math.cos(alpha) - 1.0)
+def channel_weight(alpha: float | np.ndarray) -> float | np.ndarray:
+    """Mixing weight g(α) = (1+√2)(sin α + cos α − 1); equals 1 at π/4 (arrays too)."""
+    return (1.0 + SQRT2) * (np.sin(alpha) + np.cos(alpha) - 1.0)
 
 
 def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None = None) -> np.ndarray:
@@ -201,70 +209,67 @@ def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None 
     return 0.5 * (1.0 + g) * rho + 0.5 * (1.0 - g) * (gamma @ rho @ gamma)
 
 
-def _bases_for(functional: BellFunctional) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [sigma_basis(pair) for pair in functional.ideal_settings]
+#: per-party coefficients of (𝟙, σ₊, σ₋) in a Bell term's factor, scaled by
+#: (1, cos α, sin α): 𝟙 when the party is not involved, cos α·σ₊ ± sin α·σ₋
+_SETTING_FACTORS = {None: (1.0, 0.0, 0.0), 0: (0.0, 1.0, 1.0), 1: (0.0, 1.0, -1.0)}
 
 
-def _kron4_batch(factors: list[np.ndarray]) -> np.ndarray:
-    """Batched 4-party Kronecker product of (n,2,2) arrays, party 1 leftmost."""
-    out = np.einsum("nab,ncd,nef,ngh->nacegbdfh", *factors)
-    n = factors[0].shape[0]
-    return out.reshape(n, 16, 16)
+def _kron_table(stacks: np.ndarray) -> np.ndarray:
+    """Σ_t stacks[t,0,j₁] ⊗ … ⊗ stacks[t,3,j₄] for every index tuple j.
+
+    ``stacks`` has shape (terms, 4, 3, 2, 2); the result has shape (81, 16, 16),
+    row j₁j₂j₃j₄ in base 3 with party 1 most significant and leftmost.
+    """
+    table = np.einsum(
+        "tiab,tjcd,tkef,tlgh->ijklacegbdfh", *stacks.swapaxes(0, 1), optimize=True
+    )
+    return table.reshape(81, 16, 16)
 
 
-def _extraction_operators(angles: np.ndarray, branches: np.ndarray, bases) -> np.ndarray:
-    """K(ᾱ): each party's extraction channel applied to the GHZ projector, batched."""
-    n = angles.shape[0]
-    g = (1.0 + SQRT2) * (np.sin(angles) + np.cos(angles) - 1.0)
-    pw = 0.5 * (1.0 + g)
-    qw = 0.5 * (1.0 - g)
-    identity_batch = np.broadcast_to(I2, (n, 2, 2))
-    k_op = np.broadcast_to(ghz_state(4), (n, 16, 16)).copy()
-    for p, (plus, minus) in enumerate(bases):
-        gamma = np.where(branches[:, p, None, None] == 1, plus, minus)
-        big_gamma = _kron4_batch([gamma if q == p else identity_batch for q in range(4)])
-        k_op = pw[:, p, None, None] * k_op + qw[:, p, None, None] * (
-            big_gamma @ k_op @ big_gamma
-        )
-    return k_op
+def _certificate_tables(functional: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) tables over the per-party basis (𝟙, σ₊, σ₋), as real (81, 512) views.
+
+    B's entry j is Σ_t c_t·⊗_p (term t's factor on basis element j_p); K's is
+    E_j·|GHZ⟩⟨GHZ|·E_j with E_j = ⊗_p (𝟙, σ₊, σ₋)[j_p].
+    """
+    basis = np.array([(I2, *sigma_basis(pair)) for pair in functional.ideal_settings])
+    select = np.array([[_SETTING_FACTORS[s] for s in t.settings] for t in functional.terms])
+    select[:, 0] *= np.array([t.coefficient for t in functional.terms])[:, None]
+    b_table = _kron_table(select[..., None, None] * basis)
+    e_table = _kron_table(basis[None])
+    k_table = e_table @ ghz_state(4) @ e_table
+    return tuple(t.reshape(81, 256).view(float) for t in (k_table, b_table))
+
+
+def _contract(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Σ_j Π_p vectors[:, p, j_p]·table[j]: (n, 4, 3) per-party weights → (n, 16, 16)."""
+    n = len(vectors)
+    weights = vectors[:, 0]
+    for p in range(1, 4):
+        weights = (weights[:, :, None] * vectors[:, p, None, :]).reshape(n, -1)
+    return (weights @ table).view(complex).reshape(n, 16, 16)
 
 
 def certificate_operators(
     angles: np.ndarray,
     branches: np.ndarray,
     functional: BellFunctional,
-    bases=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K(ᾱ), B(ᾱ)) for a batch of angle tuples, each of shape (n, 16, 16).
 
-    ``angles`` and ``branches`` have shape (n, parties).
+    ``angles`` and ``branches`` have shape (n, parties); both operators are
+    contractions of per-party weights with fixed tables (module docstring).
     """
     if functional.parties != 4:
         raise ValueError("certificate evaluation supports 4 parties")
-    if bases is None:
-        bases = _bases_for(functional)
     angles = np.asarray(angles, dtype=float)
-    branches = np.asarray(branches, dtype=int)
-    n = angles.shape[0]
-
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    obs = []  # obs[party][setting] -> (n,2,2)
-    for p, (plus, minus) in enumerate(bases):
-        c = cos[:, p, None, None]
-        d = sin[:, p, None, None]
-        obs.append((c * plus + d * minus, c * plus - d * minus))
-
-    bell_op = np.zeros((n, 16, 16), dtype=complex)
-    identity_batch = np.broadcast_to(I2, (n, 2, 2))
-    for term in functional.terms:
-        factors = [
-            identity_batch if setting is None else obs[p][setting]
-            for p, setting in enumerate(term.settings)
-        ]
-        bell_op += term.coefficient * _kron4_batch(factors)
-
-    return _extraction_operators(angles, branches, bases), bell_op
+    plus = np.asarray(branches) == 1
+    k_table, b_table = _certificate_tables(functional)
+    g = channel_weight(angles)
+    p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
+    k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
+    b_vectors = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], axis=-1)
+    return _contract(k_vectors, k_table), _contract(b_vectors, b_table)
 
 
 def certificate_eigenvalues(
@@ -272,14 +277,13 @@ def certificate_eigenvalues(
     angles: np.ndarray,
     branches: np.ndarray,
     functional: BellFunctional,
-    bases=None,
 ) -> np.ndarray:
     """Minimum eigenvalue of K(ᾱ) − s·B(ᾱ) − μ·𝟙 for a batch of angle tuples.
 
     ``angles`` and ``branches`` have shape (n, parties); μ is slaved to s via
     μ = 1 − s·β_Q.
     """
-    k_op, bell_op = certificate_operators(angles, branches, functional, bases)
+    k_op, bell_op = certificate_operators(angles, branches, functional)
     mu = 1.0 - s * functional.beta_q
     cert = k_op - s * bell_op
     idx = np.arange(16)
@@ -291,7 +295,6 @@ def slope_thresholds(
     angles: np.ndarray,
     branches: np.ndarray,
     functional: BellFunctional,
-    bases=None,
 ) -> np.ndarray:
     """Smallest slope passing the certificate at each angle tuple of a batch.
 
@@ -300,7 +303,7 @@ def slope_thresholds(
     the range of C and 𝟙 − K vanishes on the kernel of C; where it does not
     vanish no slope passes and the threshold is ∞.
     """
-    k_op, bell_op = certificate_operators(angles, branches, functional, bases)
+    k_op, bell_op = certificate_operators(angles, branches, functional)
     idx = np.arange(16)
     c_op = -bell_op
     c_op[:, idx, idx] += functional.beta_q
@@ -330,7 +333,8 @@ def build_K(point: JordanPoint, functional: BellFunctional | None = None) -> np.
         functional = get_functional("mermin")
     angles = np.array([point.angles], dtype=float)
     branches = np.array([point.resolved_branches()], dtype=int)
-    return _extraction_operators(angles, branches, _bases_for(functional))[0]
+    k_op, _ = certificate_operators(angles, branches, functional)
+    return k_op[0]
 
 
 def is_party_symmetric(functional: BellFunctional) -> bool:
@@ -400,7 +404,6 @@ _WORKER: dict = {}
 
 def _init_worker(functional: BellFunctional, node_angles, node_branches, indices) -> None:
     _WORKER["functional"] = functional
-    _WORKER["bases"] = _bases_for(functional)
     _WORKER["angles"] = node_angles
     _WORKER["branches"] = node_branches
     _WORKER["indices"] = indices
@@ -415,9 +418,7 @@ def _eval_chunk(args) -> tuple:
     """Evaluate one chunk; returns its k smallest (value, node-index-tuple) pairs."""
     start, stop, s, keep = args
     idx, angles, branches = _chunk_points(start, stop)
-    values = certificate_eigenvalues(
-        s, angles, branches, _WORKER["functional"], _WORKER["bases"]
-    )
+    values = certificate_eigenvalues(s, angles, branches, _WORKER["functional"])
     keep = min(keep, len(values))
     order = np.argpartition(values, keep - 1)[:keep]
     pairs = sorted((float(values[i]), tuple(int(v) for v in idx[i])) for i in order)
@@ -428,9 +429,7 @@ def _threshold_chunk(args) -> float:
     """Largest slope threshold in one chunk."""
     start, stop = args
     _, angles, branches = _chunk_points(start, stop)
-    return float(
-        np.max(slope_thresholds(angles, branches, _WORKER["functional"], _WORKER["bases"]))
-    )
+    return float(np.max(slope_thresholds(angles, branches, _WORKER["functional"])))
 
 
 @dataclass(frozen=True)
@@ -446,11 +445,15 @@ class Grid:
     size: int
     map: Callable
 
-    def map_chunks(self, fn: Callable, chunk_size: int, *extra) -> list:
-        """``fn((start, stop, *extra))`` for consecutive chunks of grid points, in order."""
+    def map_chunks(self, fn: Callable, *extra) -> list:
+        """``fn((start, stop, *extra))`` for consecutive chunks of grid points, in order.
+
+        The chunk size depends on the grid size only (see ``SEARCH_CHUNKS``).
+        """
+        rows = min(SEARCH_CHUNK_ROWS, -(-self.size // SEARCH_CHUNKS))
         tasks = [
-            (start, min(start + chunk_size, self.size), *extra)
-            for start in range(0, self.size, chunk_size)
+            (start, min(start + rows, self.size), *extra)
+            for start in range(0, self.size, rows)
         ]
         return list(self.map(fn, tasks))
 
@@ -492,7 +495,6 @@ def evaluate_grid(
     grid_step: float = DEFAULT_GRID_STEP,
     threads: int = 1,
     keep_worst: int = 1,
-    chunk_size: int = 4096,
     grid: Grid | None = None,
 ) -> GridEvaluation:
     """Minimum certificate eigenvalue over the full Jordan-angle grid.
@@ -503,7 +505,7 @@ def evaluate_grid(
     """
     opened = open_grid(functional, grid_step, threads) if grid is None else nullcontext(grid)
     with opened as grid:
-        chunk_results = grid.map_chunks(_eval_chunk, chunk_size, s, keep_worst)
+        chunk_results = grid.map_chunks(_eval_chunk, s, keep_worst)
 
     merged = sorted(pair for chunk in chunk_results for pair in chunk)[:keep_worst]
     min_eig, worst_idx = merged[0]
@@ -571,15 +573,13 @@ def bound_search(
     wrong channel family or functional, or when s fails the verification.
     """
     with open_grid(functional, grid_step, threads) as grid:
-        rows = min(SEARCH_CHUNK_ROWS, -(-grid.size // SEARCH_CHUNKS))
-        s = max(grid.map_chunks(_threshold_chunk, rows))
+        s = max(grid.map_chunks(_threshold_chunk))
         if not s <= 1.0:
             raise BoundSearchError(
                 "certificate infeasible at s=1; channel family does not match the functional"
             )
         final = evaluate_grid(
-            s, functional, grid_step, threads, keep_worst=100 if refine else 1,
-            chunk_size=rows, grid=grid,
+            s, functional, grid_step, threads, keep_worst=100 if refine else 1, grid=grid
         )
     if final.min_eig < -slack:
         raise BoundSearchError(

@@ -66,9 +66,16 @@ def test_usage_error_unknown_subcommand():
     [
         ["bound", "--grid-step", "0.3"],  # does not divide pi/2
         ["sweep", "--figure", "fig4"],  # fig4 needs --pass-rate
+        ["certify", "--n", "0", "--delta", "0.01", "--pass-rate", "0.9"],
+        ["replay", "--input", "{missing}"],
+        ["bound", "--operator-file", "{missing}"],
+        ["bound", "--operator-file", "{no_terms}"],  # a JSON object without "terms"
     ],
 )
-def test_invalid_value_is_usage_error_with_json(argv, capsys):
+def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
+    no_terms = tmp_path / "no_terms.json"
+    no_terms.write_text('{"name": "custom", "parties": 4}')
+    argv = [a.format(missing=tmp_path / "missing.json", no_terms=no_terms) for a in argv]
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out.count("\n") == 1

@@ -84,8 +84,7 @@ def test_parse_rejects_bad_fields(doc):
 
 def test_strict_select_identity_for_single_event_windows():
     docs = [event(i, t_ps=i) for i in range(5)]
-    rounds, skipped = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
-    assert skipped == 0
+    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     assert [r.window_id for r in rounds] == list(range(5))
     assert all(r.won for r in rounds)
 
@@ -101,7 +100,7 @@ def test_strict_select_uniform_over_window_events():
     wins = 0
     reps = 10_000
     for seed in range(reps):
-        rounds, _ = strict_select(events, MERMIN_GAME, seed=seed)
+        rounds = strict_select(events, MERMIN_GAME, seed=seed)
         wins += rounds[0].won
     sigma = math.sqrt(reps * 0.5 * 0.5)
     assert abs(wins - reps / 2) < 3 * sigma  # two of four events win
@@ -115,7 +114,7 @@ def test_strict_pass_rate_binomial():
     for w in range(n):
         won = rng.random() < 0.975
         docs.append(event(w, t_ps=w, outcomes=WIN if won else LOSE))
-    rounds, _ = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=1)
+    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=1)
     rate = sum(r.won for r in rounds) / n
     sigma = math.sqrt(0.975 * 0.025 / n)
     assert abs(rate - 0.975) < 3 * sigma
@@ -144,7 +143,7 @@ def test_strict_and_decomposed_agree_on_iid_data():
             won = rng.random() < 0.9
             docs.append(event(w, t_ps=3 * w + k, outcomes=WIN if won else LOSE))
     events = parse_events(as_lines(docs))
-    strict_rounds, _ = strict_select(events, MERMIN_GAME, seed=2)
+    strict_rounds = strict_select(events, MERMIN_GAME, seed=2)
     dec_rounds = decomposed(events, MERMIN_GAME, seed=2)
     p_strict = sum(r.won for r in strict_rounds) / len(strict_rounds)
     p_dec = sum(r.won for r in dec_rounds) / len(dec_rounds)
@@ -157,7 +156,7 @@ def test_scoring_posterior_for_ambiguous_inputs():
     game = to_game(baccari_functional())
     # input (0,1,1,0) is consistent with both A0B1 and A0C1
     docs = [event(0, input=(0, 1, 1, 0), outcomes=(1, 1, -1, 1))]
-    rounds, _ = strict_select(parse_events(as_lines(docs)), game, seed=3)
+    rounds = strict_select(parse_events(as_lines(docs)), game, seed=3)
     assert isinstance(rounds[0].won, bool)
 
 
@@ -170,7 +169,7 @@ def test_scoring_rejects_impossible_input():
 
 def test_hold_out_uniform_over_two_rounds():
     docs = [event(0, t_ps=0), event(1, t_ps=1)]
-    rounds, _ = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
+    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     first = 0
     reps = 2000
     for seed in range(reps):
@@ -183,7 +182,7 @@ def test_hold_out_uniform_over_two_rounds():
 
 def test_hold_out_deterministic():
     docs = [event(i, t_ps=i) for i in range(10)]
-    rounds, _ = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
+    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     a = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
     b = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
     assert a == b

@@ -15,7 +15,7 @@ from ghzcert.bell import (
     violation,
     zhao_functional,
 )
-from ghzcert.quantum import X, Y, expectation, ghz_state, hermitian_eigenvalues
+from ghzcert.quantum import I2, X, Y, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
     BoundSearchError,
     JordanPoint,
@@ -26,6 +26,7 @@ from ghzcert.selftest import (
     certificate_min_eig,
     channel_weight,
     certificate_eigenvalues,
+    certificate_operators,
     evaluate_grid,
     extractability_bound,
     extraction_channel,
@@ -116,6 +117,39 @@ def test_build_K_trace_and_spectrum():
         assert np.trace(k).real == pytest.approx(1.0, abs=1e-10)
         eigs = hermitian_eigenvalues(k)
         assert eigs[0] >= -1e-10 and eigs[-1] <= 1 + 1e-10
+
+
+def _on_party(op, party):
+    return kron_all([op if q == party else I2 for q in range(4)])
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_certificate_operators_match_scalar_reference(operator):
+    """The batched contraction against the scalar Jordan observables and
+    channels: B = Σ c_t ⊗ observables, K = channels applied party by party."""
+    f = get_functional(operator)
+    bases = [sigma_basis(pair) for pair in f.ideal_settings]
+    rng = np.random.default_rng(21)
+    angles = np.vstack(
+        [rng.uniform(0, math.pi / 2, size=(50, 4)), np.zeros(4), np.full((2, 4), QUARTER)]
+    )
+    branches = np.where(angles <= QUARTER, 1, -1)
+    branches[-1] = -1  # π/4 on the σ₋ branch
+    k_ops, b_ops = certificate_operators(angles, branches, f)
+    for point, point_branches, k_op, b_op in zip(angles, branches, k_ops, b_ops):
+        b_ref = sum(
+            t.coefficient * kron_all(
+                I2 if setting is None else jordan_observable(point[p], setting, bases[p])
+                for p, setting in enumerate(t.settings)
+            )
+            for t in f.terms
+        )
+        k_ref = ghz_state(4)
+        for p, (alpha, branch) in enumerate(zip(point, point_branches)):
+            on_party = tuple(_on_party(op, p) for op in bases[p])
+            k_ref = extraction_channel(alpha, k_ref, on_party, int(branch))
+        assert np.max(np.abs(b_op - b_ref)) <= 1e-12
+        assert np.max(np.abs(k_op - k_ref)) <= 1e-12
 
 
 def test_jordan_point_validation():
