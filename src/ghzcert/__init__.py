@@ -37,7 +37,7 @@ from .quantum import (
     noisy_ghz,
 )
 from .replay import (
-    EventRecord,
+    Events,
     decomposed,
     events_from_transcript,
     events_to_jsonl,

@@ -134,6 +134,41 @@ class NonlocalGame:
             product *= outcomes[p]
         return product == term.sign
 
+    def term_weights(self) -> np.ndarray:
+        """Unnormalized P(term | input), shape (2^parties, terms) with party 1 the
+        code's high bit: |c|·2^(−#uninvolved) where the term fits the input, else 0."""
+        f = self.functional
+        bits = (np.arange(2**f.parties)[:, None] >> np.arange(f.parties)[::-1]) & 1
+        settings = np.array([[-1 if s is None else s for s in t.settings] for t in f.terms])
+        match = ((settings < 0) | (settings == bits[:, None, :])).all(axis=2)
+        return match * [abs(t.coefficient) * 0.5 ** (settings[k] < 0).sum()
+                        for k, t in enumerate(f.terms)]
+
+    def draw_terms(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Term per recorded round (the round does not name it) from its input row.
+
+        The m rounds whose input matches several terms draw from
+        :meth:`term_weights` with one ``rng.random(m)``, in round order.
+        """
+        weights = self.term_weights()
+        codes = np.asarray(inputs, dtype=np.intp) @ (1 << np.arange(inputs.shape[1])[::-1])
+        matches = np.count_nonzero(weights, axis=1)[codes]
+        if not matches.all():
+            bad = inputs[np.argmin(matches)].tolist()
+            raise ValueError(f"input {bad} matches no term of operator {self.functional.name!r}")
+        terms = np.argmax(weights > 0, axis=1)[codes]
+        ambiguous = np.flatnonzero(matches > 1)
+        cdf = np.cumsum(weights[codes[ambiguous]], axis=1)
+        below = rng.random(len(ambiguous))[:, None] < cdf / cdf[:, -1:]  # last column is 1
+        terms[ambiguous] = np.argmax(below, axis=1)
+        return terms
+
+    def won_terms(self, terms: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`won`: win flags for term indices and ±1 outcome rows."""
+        involved = np.array([[s is not None for s in t.settings] for t in self.functional.terms])
+        negative = np.array([t.sign < 0 for t in self.functional.terms])
+        return np.count_nonzero((outcomes < 0) & involved[terms], axis=1) % 2 == negative[terms]
+
 
 def to_game(functional: BellFunctional) -> NonlocalGame:
     dist = tuple(abs(t.coefficient) / functional.beta_alg for t in functional.terms)
@@ -290,7 +325,7 @@ def functional_to_json(functional: BellFunctional) -> str:
 
 
 def functional_from_json(text: str) -> BellFunctional:
-    """Inverse of :func:`functional_to_json`; a missing field raises ValueError."""
+    """Inverse of :func:`functional_to_json`; a missing or malformed field raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("functional JSON must be an object")
@@ -311,5 +346,5 @@ def functional_from_json(text: str) -> BellFunctional:
             beta_alg=float(doc["beta_alg"]),
             ideal_settings=settings,
         )
-    except KeyError as exc:
-        raise ValueError(f"functional JSON is missing field {exc.args[0]!r}") from None
+    except (KeyError, TypeError) as exc:  # a field that is missing or of the wrong JSON type
+        raise ValueError(f"functional JSON has a missing or malformed field ({exc})") from None

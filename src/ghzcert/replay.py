@@ -2,7 +2,7 @@
 
 Input is JSONL, one time-tagged coincidence per line:
 
-    {"window_id": <uint>, "input": [i1,i2,i3,i4], "t_ps": <uint64>,
+    {"window_id": <uint64>, "input": [i1,i2,i3,i4], "t_ps": <uint64>,
      "outcomes": [o1,o2,o3,o4]}
 
 with inputs in {0,1} and outcomes in {-1,1}. All events of a window share one
@@ -11,12 +11,20 @@ nondecreasing within a window. Two analysis modes mirror the two ways of
 turning acquisitions into game rounds: ``strict`` keeps one uniformly chosen
 event per window (true one-to-one input/output correspondence), ``decomposed``
 keeps every event and shuffles.
+
+Events are held in one column table, :class:`Events`; rounds are row indices
+into it with a win flag each. Each random choice (strict picks, the shuffle,
+posterior terms, the hold-out) is one vector per (seed, purpose) per call.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from itertools import chain, compress, islice, repeat
+
+import numpy as np
 
 from .bell import NonlocalGame
 from .certification import CertificationQuery, max_certified_extractability
@@ -25,234 +33,189 @@ from .selftest import SelfTestBound
 from .simulate import Transcript
 
 WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
+PARSE_CHUNK_LINES = 16_384  # lines decoded and turned into arrays at a time
+FIELDS = ("window_id", "input", "t_ps", "outcomes")
+_FIELD_SET = frozenset(FIELDS)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    window_id: int
-    input: tuple
-    t_ps: int
-    outcomes: tuple
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Column table of events, one row per event in file order."""
 
-    def to_dict(self) -> dict:
-        return {
-            "window_id": self.window_id,
-            "input": list(self.input),
-            "t_ps": self.t_ps,
-            "outcomes": list(self.outcomes),
-        }
+    window_id: np.ndarray  # uint64 (n,)
+    t_ps: np.ndarray  # uint64 (n,)
+    inputs: np.ndarray  # int8 (n, 4), settings in {0, 1}
+    outcomes: np.ndarray  # int8 (n, 4), values in {-1, 1}
 
+    def __len__(self) -> int:
+        return len(self.window_id)
 
-@dataclass(frozen=True)
-class ReplayRound:
-    window_id: int
-    input: tuple
-    outcomes: tuple
-    won: bool
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Events) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
-def _parse_line(line: str, lineno: int) -> EventRecord:
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {lineno}: not valid JSON ({exc.msg})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"line {lineno}: expected an object")
-    try:
-        window_id = doc["window_id"]
-        inputs = doc["input"]
-        t_ps = doc["t_ps"]
-        outcomes = doc["outcomes"]
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-    if not isinstance(window_id, int) or window_id < 0:
-        raise ValueError(f"line {lineno}: window_id must be a nonnegative integer")
-    if not isinstance(t_ps, int) or t_ps < 0:
-        raise ValueError(f"line {lineno}: t_ps must be a nonnegative integer")
-    if not (isinstance(inputs, list) and len(inputs) == 4 and all(i in (0, 1) for i in inputs)):
-        raise ValueError(f"line {lineno}: input must be four settings in {{0,1}}")
-    if not (
-        isinstance(outcomes, list) and len(outcomes) == 4 and all(o in (-1, 1) for o in outcomes)
-    ):
-        raise ValueError(f"line {lineno}: outcomes must be four values in {{-1,1}}")
-    return EventRecord(window_id, tuple(inputs), t_ps, tuple(outcomes))
+def _uint64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 array of the integers in [0, 2**64) (0 elsewhere), and where they are."""
+    column = np.fromiter(values, dtype=object, count=len(values))
+    ok = np.fromiter(map(isinstance, column, repeat(int)), dtype=bool, count=len(values))
+    ok[ok] = (column[ok] >= 0) & (column[ok] < 2**64)
+    return np.where(ok, column, 0).astype(np.uint64), ok
 
 
-def parse_events(stream) -> list[EventRecord]:
-    """Parse and validate a JSONL stream (any iterable of lines).
+def _quad_column(rows: list, allowed: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """int8 (n, 4) array of the four-entry lists with entries in ``allowed``
+    (0 elsewhere), and where they are."""
+    ok = np.fromiter((type(r) is list and len(r) == 4 for r in rows), dtype=bool, count=len(rows))
+    entries = np.fromiter(chain.from_iterable(compress(rows, ok)), dtype=object).reshape(-1, 4)
+    valid = ((entries == allowed[0]) | (entries == allowed[1])).all(axis=1)
+    column = np.zeros((len(rows), 4), dtype=np.int8)
+    column[np.flatnonzero(ok)[valid]] = entries[valid].astype(np.int8)
+    ok[ok] = valid
+    return column, ok
 
-    Raises with the offending line number on malformed records, and with the
-    window id when a window carries inconsistent inputs or decreasing
-    timestamps.
-    """
-    events: list[EventRecord] = []
-    window_inputs: dict[int, tuple] = {}
-    window_last_t: dict[int, int] = {}
-    for lineno, line in enumerate(stream, start=1):
+
+_COLUMNS = (  # per Events field: the record key, its parser and the error for a bad value
+    ("window_id", _uint64_column, "window_id must be a nonnegative integer below 2**64"),
+    ("t_ps", _uint64_column, "t_ps must be a nonnegative integer below 2**64"),
+    ("input", partial(_quad_column, allowed=(0, 1)), "input must be four settings in {0,1}"),
+    ("outcomes", partial(_quad_column, allowed=(-1, 1)), "outcomes must be four values in {-1,1}"),
+)
+
+
+def _parse_chunk(lines: list, first: int) -> tuple[Events, np.ndarray, ValueError | None]:
+    """The records before the chunk's first bad line, their line numbers, and
+    that line's error; ``first`` is the number of ``lines[0]``."""
+    docs, linenos, problem = [], [], None
+    for lineno, line in enumerate(lines, start=first):
         if not line.strip():
             continue
-        event = _parse_line(line, lineno)
-        known = window_inputs.setdefault(event.window_id, event.input)
-        if known != event.input:
-            raise ValueError(
-                f"window {event.window_id}: inconsistent inputs "
-                f"{list(known)} vs {list(event.input)} (line {lineno})"
-            )
-        last = window_last_t.get(event.window_id)
-        if last is not None and event.t_ps < last:
-            raise ValueError(
-                f"window {event.window_id}: timestamps decrease (line {lineno})"
-            )
-        window_last_t[event.window_id] = event.t_ps
-        events.append(event)
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problem = f"not valid JSON ({exc.msg})"
+        else:
+            if not isinstance(doc, dict):
+                problem = "expected an object"
+            elif not doc.keys() >= _FIELD_SET:
+                problem = f"missing field {next(key for key in FIELDS if key not in doc)!r}"
+        if problem:
+            break
+        docs.append(doc)
+        linenos.append(lineno)
+    error = ValueError(f"line {lineno}: {problem}") if problem else None
+    columns, oks = zip(*(column([d[key] for d in docs]) for key, column, _ in _COLUMNS))
+    good = np.logical_and.reduce(oks)
+    end = len(docs) if good.all() else int(np.argmin(good))
+    if end < len(docs):
+        message = next(text for ok, (_, _, text) in zip(oks, _COLUMNS) if not ok[end])
+        error = ValueError(f"line {linenos[end]}: {message}")
+    part = Events(*(c[:end] for c in columns))
+    return part, np.array(linenos[:end], dtype=np.int64), error
+
+
+def _check_windows(events: Events, lineno: np.ndarray) -> None:
+    """Raise for the first line whose input differs from its window's earlier
+    events or whose timestamp is below the window's previous one."""
+    order = np.argsort(events.window_id, kind="stable")
+    ids, inputs, t_ps = events.window_id[order], events.inputs[order], events.t_ps[order]
+    same = ids[1:] == ids[:-1]  # row k + 1 continues row k's window
+    bad_input = same & (inputs[1:] != inputs[:-1]).any(axis=1)
+    bad = np.flatnonzero(bad_input | (same & (t_ps[1:] < t_ps[:-1])))
+    if len(bad):
+        k = bad[np.argmin(lineno[order[bad + 1]])]
+        what = (f"inconsistent inputs {inputs[k].tolist()} vs {inputs[k + 1].tolist()}"
+                if bad_input[k] else "timestamps decrease")
+        raise ValueError(f"window {ids[k + 1]}: {what} (line {lineno[order[k + 1]]})")
+
+
+def parse_events(stream) -> Events:
+    """Parse and validate a JSONL stream (any iterable of lines), turning each
+    ``PARSE_CHUNK_LINES`` lines into arrays before reading more. Raises
+    ValueError for the first offending record, naming its line number (blank
+    lines count) and, for inconsistent inputs or decreasing timestamps, its window.
+    """
+    lines, first, chunks = iter(stream), 1, [_parse_chunk([], 1)]
+    while chunks[-1][2] is None and (chunk := list(islice(lines, PARSE_CHUNK_LINES))):
+        chunks.append(_parse_chunk(chunk, first))
+        first += len(chunk)
+    parts, linenos, errors = zip(*chunks)
+    events = Events(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Events)))
+    _check_windows(events, np.concatenate(linenos))  # its lines precede the chunk error's
+    if errors[-1] is not None:
+        raise errors[-1]
     return events
 
 
-def _score(game: NonlocalGame, inputs: tuple, outcomes: tuple, rng) -> bool:
-    """Win flag for a recorded round.
-
-    The generating term is not recorded, so it is drawn from the posterior
-    P(term | input) ∝ |c|·2^(−#uninvolved) over the terms consistent with the
-    input; for functionals whose terms involve every party this is a point
-    mass.
-    """
-    compatible = []
-    weights = []
-    for k, term in enumerate(game.functional.terms):
-        ok = all(
-            setting is None or setting == inputs[p]
-            for p, setting in enumerate(term.settings)
-        )
-        if ok:
-            compatible.append(k)
-            uninvolved = sum(1 for s in term.settings if s is None)
-            weights.append(abs(term.coefficient) * 0.5**uninvolved)
-    if not compatible:
-        raise ValueError(
-            f"input {list(inputs)} matches no term of operator "
-            f"{game.functional.name!r}"
-        )
-    if len(compatible) == 1:
-        k = compatible[0]
-    else:
-        total = sum(weights)
-        k = int(rng.choice(compatible, p=[w / total for w in weights]))
-    return game.won(k, outcomes)
+def _round_wins(events: Events, rows: np.ndarray, game: NonlocalGame, seed: int) -> np.ndarray:
+    """Win flags of the rounds made of ``rows``, scored in round order."""
+    terms = game.draw_terms(events.inputs[rows], rng_for(seed, 0, TAG_SCORE))
+    return game.won_terms(terms, events.outcomes[rows])
 
 
-def strict_select(
-    events: list[EventRecord], game: NonlocalGame, seed: int = 0
-) -> list[ReplayRound]:
-    """One uniformly chosen event per window, in order of first appearance."""
-    order: list[int] = []
-    grouped: dict[int, list[EventRecord]] = {}
-    for event in events:
-        if event.window_id not in grouped:
-            order.append(event.window_id)
-            grouped[event.window_id] = []
-        grouped[event.window_id].append(event)
-    rounds = []
-    for window_id in order:
-        bunch = grouped[window_id]
-        pick = bunch[int(rng_for(seed, window_id, TAG_SELECT).integers(0, len(bunch)))]
-        won = _score(game, pick.input, pick.outcomes, rng_for(seed, window_id, TAG_SCORE))
-        rounds.append(ReplayRound(window_id, pick.input, pick.outcomes, won))
-    return rounds
+def strict_select(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
+    """One uniformly chosen event per window, windows in order of first appearance:
+    (rows of ``events`` in round order, their win flags)."""
+    by_window = np.argsort(events.window_id, kind="stable")  # each window's events in file order
+    _, first, counts = np.unique(events.window_id, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    picks = rng_for(seed, 0, TAG_SELECT).integers(0, counts[order])
+    rows = by_window[(np.cumsum(counts) - counts)[order] + picks]
+    return rows, _round_wins(events, rows, game, seed)
 
 
-def decomposed(
-    events: list[EventRecord], game: NonlocalGame, seed: int = 0
-) -> list[ReplayRound]:
-    """Every event becomes a round; rounds are shuffled by a seeded permutation."""
-    rounds = [
-        ReplayRound(
-            e.window_id, e.input, e.outcomes,
-            _score(game, e.input, e.outcomes, rng_for(seed, ordinal, TAG_SCORE)),
-        )
-        for ordinal, e in enumerate(events)
-    ]
-    perm = rng_for(seed, 0, TAG_SHUFFLE).permutation(len(rounds))
-    return [rounds[i] for i in perm]
+def decomposed(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
+    """Every event becomes a round, shuffled by a seeded permutation:
+    (rows of ``events`` in round order, their win flags)."""
+    rows = rng_for(seed, 0, TAG_SHUFFLE).permutation(len(events))
+    return rows, _round_wins(events, rows, game, seed)
 
 
-def hold_out(rounds: list[ReplayRound], rng) -> tuple[int, list[ReplayRound]]:
-    """Remove exactly one uniformly chosen round; the rest form the verification set."""
-    if not rounds:
+def hold_out(rounds, rng) -> tuple[int, np.ndarray]:
+    """Remove exactly one uniformly chosen round; the rest (an array) form the verification set."""
+    if len(rounds) == 0:
         raise ValueError("no rounds to hold out from")
     held = int(rng.integers(0, len(rounds)))
-    return held, rounds[:held] + rounds[held + 1 :]
+    return held, np.delete(rounds, held, axis=0)
 
 
-def replay(
-    events: list[EventRecord],
-    game: NonlocalGame,
-    bound: SelfTestBound,
-    mode: str = "strict",
-    delta: float = 0.01,
-    seed: int = 0,
-) -> dict:
+def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str = "strict",
+           delta: float = 0.01, seed: int = 0) -> dict:
     """Full replay: rounds from events, hold-out, pass rate, certification."""
-    if mode == "strict":
-        rounds = strict_select(events, game, seed)
-    elif mode == "decomposed":
-        rounds = decomposed(events, game, seed)
-    else:
+    if mode not in ("strict", "decomposed"):
         raise ValueError(f"unknown mode {mode!r}; choose strict or decomposed")
-
-    n = len(rounds)
+    _, won = (strict_select if mode == "strict" else decomposed)(events, game, seed)
+    n = len(won)
+    result = {"mode": mode, "n": n, "n_win": 0, "pass_rate": None, "held_out_index": None,
+              "feasible": False}
     if n < 2:
-        return {
-            "mode": mode,
-            "n": n,
-            "n_win": 0,
-            "pass_rate": None,
-            "held_out_index": None,
-            "feasible": False,
-        }
-    held_index, verification = hold_out(rounds, rng_for(seed, 0, TAG_HOLDOUT))
-    n_win = sum(r.won for r in verification)
-    pass_rate = n_win / (n - 1)
-    query = CertificationQuery(
-        n=n,
-        delta=delta,
-        pass_rate=pass_rate,
-        bound=bound,
-        p_qm=game.p_qm,
-        mu_meas=(n - 1) / n,
-    )
+        return result
+    held_index, verification = hold_out(won, rng_for(seed, 0, TAG_HOLDOUT))
+    n_win = int(np.count_nonzero(verification))
+    query = CertificationQuery(n=n, delta=delta, pass_rate=n_win / (n - 1), bound=bound,
+                               p_qm=game.p_qm, mu_meas=(n - 1) / n)
     report = max_certified_extractability(query)
-    return {
-        "mode": mode,
-        "n": n,
-        "n_win": n_win,
-        "pass_rate": pass_rate,
-        "held_out_index": held_index,
-        "report": report,
-        "feasible": report.feasible,
-    }
+    result.update(n_win=n_win, pass_rate=query.pass_rate, held_out_index=held_index,
+                  report=report, feasible=report.feasible)
+    return result
 
 
-def events_from_transcript(
-    transcript: Transcript, window_span_ps: int = WINDOW_SPAN_PS
-) -> list[EventRecord]:
-    """Synthetic event file content from a simulated transcript.
-
-    Each measured round becomes one acquisition window holding one event,
-    timestamped at the window start; held-out rounds were never measured and
-    leave no events.
-    """
-    events = []
-    for ordinal, record in enumerate(transcript.measured_rounds()):
-        events.append(
-            EventRecord(
-                window_id=ordinal,
-                input=record.input,
-                t_ps=ordinal * window_span_ps,
-                outcomes=record.outcomes,
-            )
-        )
-    return events
+def events_from_transcript(transcript: Transcript, window_span_ps: int = WINDOW_SPAN_PS) -> Events:
+    """Synthetic event file content from a simulated transcript: each measured
+    round becomes a window holding one event at its start (held-out rounds, never
+    measured, leave none)."""
+    measured = transcript.measured_rounds()
+    n = len(measured)
+    return Events(
+        window_id=np.arange(n, dtype=np.uint64),
+        t_ps=np.array([k * window_span_ps for k in range(n)], dtype=np.uint64),  # raises past 2**64
+        inputs=np.array([r.input for r in measured], dtype=np.int8).reshape(n, 4),
+        outcomes=np.array([r.outcomes for r in measured], dtype=np.int8).reshape(n, 4),
+    )
 
 
-def events_to_jsonl(events: list[EventRecord]) -> str:
-    return "\n".join(json.dumps(e.to_dict()) for e in events) + "\n"
+def events_to_jsonl(events: Events) -> str:
+    columns = (events.window_id, events.inputs, events.t_ps, events.outcomes)
+    return "\n".join(
+        json.dumps(dict(zip(FIELDS, row))) for row in zip(*(c.tolist() for c in columns))
+    ) + "\n"

@@ -2,7 +2,8 @@
 
 Every random decision in the protocol pipeline draws from its own generator,
 seeded by what the decision is for; rounds can therefore be generated in any
-order or in parallel and still reproduce bit-identically.
+order or in parallel and still reproduce bit-identically. Replay keys one
+generator per (seed, purpose) per call and draws one vector in round order.
 """
 
 from __future__ import annotations

@@ -124,6 +124,57 @@ def test_won_predicate_ignores_uninvolved():
     assert not game.won(k, (1, -1, 1, 1))
 
 
+def _settings_of(code):
+    return tuple((code >> (3 - p)) & 1 for p in range(4))
+
+
+def _reference_weights(functional, inputs):
+    """Loop reference: weight |c|·2^(−#uninvolved) per term consistent with the input."""
+    return [
+        abs(t.coefficient) * 0.5 ** sum(s is None for s in t.settings)
+        if all(s is None or s == inputs[p] for p, s in enumerate(t.settings)) else 0.0
+        for t in functional.terms
+    ]
+
+
+@pytest.mark.parametrize("factory", [mermin_functional, baccari_functional, zhao_functional])
+def test_batched_scoring_matches_won(factory):
+    """won_terms equals won on all 16 inputs x 16 outcomes x every compatible term."""
+    game = to_game(factory())
+    weights = game.term_weights()
+    outcomes = [tuple(1 - 2 * b for b in _settings_of(o)) for o in range(16)]
+    terms, rows = [], []
+    for code in range(16):
+        reference = _reference_weights(game.functional, _settings_of(code))
+        assert weights[code].tolist() == reference
+        for k in np.flatnonzero(reference):
+            terms += [k] * 16
+            rows += outcomes
+    batched = game.won_terms(np.array(terms), np.array(rows, dtype=np.int8))
+    assert batched.tolist() == [game.won(k, o) for k, o in zip(terms, rows)]
+    unique = np.count_nonzero(weights, axis=1) == 1
+    codes = np.flatnonzero(unique)
+    inputs = np.array([_settings_of(c) for c in codes], dtype=np.int8)
+    drawn = game.draw_terms(inputs, np.random.default_rng(0))
+    assert drawn.tolist() == np.argmax(weights[codes], axis=1).tolist()
+    if factory is mermin_functional:  # every term involves all four parties
+        assert unique.sum() == 8 and not (np.count_nonzero(weights, axis=1) > 1).any()
+
+
+def test_posterior_draw_frequencies_for_ambiguous_input():
+    """Baccari's (0,1,1,0) matches A0B1 and A0C1; draws follow |c|·2^(−#uninvolved)."""
+    game = to_game(baccari_functional())
+    n = 100_000
+    inputs = np.tile(np.array([0, 1, 1, 0], dtype=np.int8), (n, 1))
+    terms = game.draw_terms(inputs, np.random.default_rng(11))
+    weights = np.array(_reference_weights(game.functional, (0, 1, 1, 0)))
+    expected = weights / weights.sum()
+    assert np.count_nonzero(expected) == 2
+    counts = np.bincount(terms, minlength=len(expected))
+    sigma = np.sqrt(n * expected * (1 - expected))
+    assert np.all(np.abs(counts - n * expected) <= 4 * sigma)
+
+
 def _random_dichotomic(rng):
     theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])

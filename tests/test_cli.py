@@ -1,12 +1,15 @@
 """CLI surface: flags, exit codes, output formats, reproducibility."""
 
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghzcert
@@ -61,6 +64,16 @@ def test_usage_error_unknown_subcommand():
     assert exc.value.code == 2
 
 
+BAD_OPERATOR_FILES = {
+    "no_terms": '{"name": "custom", "parties": 4}',
+    "number_settings": '{"name": "x", "parties": 4, "terms": [{"coefficient": 1, "settings": 5}]}',
+    "term_not_object": '{"name": "x", "parties": 4, "terms": [5]}',
+    "terms_not_list": '{"name": "x", "parties": 4, "terms": 5}',
+    "bad_ideal_settings": '{"name": "x", "parties": 4, "terms": '
+                          '[{"coefficient": 1, "settings": [0, 0, 0, 0]}], "ideal_settings": 5}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -70,12 +83,18 @@ def test_usage_error_unknown_subcommand():
         ["replay", "--input", "{missing}"],
         ["bound", "--operator-file", "{missing}"],
         ["bound", "--operator-file", "{no_terms}"],  # a JSON object without "terms"
+        ["bound", "--operator-file", "{number_settings}"],
+        ["bound", "--operator-file", "{term_not_object}"],
+        ["bound", "--operator-file", "{terms_not_list}"],
+        ["bound", "--operator-file", "{bad_ideal_settings}"],
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
-    no_terms = tmp_path / "no_terms.json"
-    no_terms.write_text('{"name": "custom", "parties": 4}')
-    argv = [a.format(missing=tmp_path / "missing.json", no_terms=no_terms) for a in argv]
+    paths = {"missing": tmp_path / "missing.json"}
+    for name, text in BAD_OPERATOR_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out.count("\n") == 1
@@ -253,3 +272,56 @@ def test_replay_single_event_is_strict_json(tmp_path, capsys):
     doc = json.loads(out, parse_constant=reject)
     assert doc["pass_rate"] is None
     assert code == 1
+
+
+def _mutate(lines, rng):
+    """One random single-line edit: a character, a value, the whole line or its input."""
+    lines = list(lines)
+    k = int(rng.integers(len(lines)))
+    line = lines[k]
+    kind = int(rng.integers(5))
+    at = int(rng.integers(len(line) + 1))
+    if kind == 0:
+        line = line[:at] + line[at + 1:]
+    elif kind == 1:
+        line = line[:at] + str(rng.choice(list('0-1x"{}[],: '))) + line[at:]
+    elif kind == 2:
+        values = [m.span() for m in re.finditer(r"-?\d+", line)]
+        a, b = values[int(rng.integers(len(values)))]
+        tokens = ["-1", "2", "1.5", "1.0", "true", "null", '"0"', "[]", str(2**64), str(2**64 - 1)]
+        line = line[:a] + str(rng.choice(tokens)) + line[b:]
+    elif kind == 3:
+        line = str(rng.choice(["", "  ", "[]", "5", "{}", "not json", '{"window_id": 0}']))
+    else:
+        line = lines[int(rng.integers(len(lines)))]  # may clash with its new window's input
+    lines[k] = line
+    return lines
+
+
+def test_replay_fuzzed_event_files_keep_cli_contract(tmp_path, capsys, monkeypatch):
+    """200 single-line mutations of a valid file: exit 0/1/2, strict JSON, no traceback."""
+    monkeypatch.setattr(importlib.import_module("ghzcert.replay"), "PARSE_CHUNK_LINES", 4)
+    rng = np.random.default_rng(8)
+    valid = []
+    for w in range(8):
+        inputs = [0, 0, 0, 0] if w % 2 else [1, 1, 0, 0]
+        for e in range(3):
+            outcomes = [int(o) for o in 1 - 2 * rng.integers(0, 2, 4)]
+            valid.append(json.dumps({"window_id": w, "input": inputs, "t_ps": 10 * w + e,
+                                     "outcomes": outcomes}))
+    path = tmp_path / "events.jsonl"
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    codes = []
+    for _ in range(200):
+        path.write_text("\n".join(_mutate(valid, rng)) + "\n")
+        code, out = run_cli(["replay", "--input", str(path), "--mode",
+                             str(rng.choice(["strict", "decomposed"]))], capsys)
+        assert code in (0, 1, 2)
+        doc = json.loads(out, parse_constant=reject)
+        if code == 2:
+            assert out.count("\n") == 1 and set(doc) == {"error"}
+        codes.append(code)
+    assert {1, 2} <= set(codes)

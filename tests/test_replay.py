@@ -1,5 +1,6 @@
 """Event-file parsing and the strict/decomposed replay pipeline."""
 
+import importlib
 import json
 import math
 
@@ -9,7 +10,6 @@ import pytest
 from ghzcert.bell import baccari_functional, mermin_functional, to_game
 from ghzcert.certification import operator_context
 from ghzcert.replay import (
-    EventRecord,
     decomposed,
     events_from_transcript,
     events_to_jsonl,
@@ -20,6 +20,8 @@ from ghzcert.replay import (
 )
 from ghzcert.rng import TAG_HOLDOUT, rng_for
 from ghzcert.simulate import IIDNoisy, run_protocol
+
+REPLAY_MODULE = importlib.import_module("ghzcert.replay")  # ghzcert.replay is the function
 
 MERMIN_GAME = to_game(mermin_functional())
 
@@ -37,15 +39,17 @@ def as_lines(docs):
 
 
 def test_parse_empty_stream():
-    assert parse_events([]) == []
+    assert len(parse_events([])) == 0
 
 
 def test_parse_preserves_order():
     docs = [event(0, t_ps=10), event(1, t_ps=20), event(0, t_ps=30)]
     events = parse_events(as_lines(docs))
     assert len(events) == 3
-    assert [e.window_id for e in events] == [0, 1, 0]
-    assert events[0] == EventRecord(0, (0, 0, 0, 0), 10, WIN)
+    assert events.window_id.tolist() == [0, 1, 0]
+    assert events.t_ps.tolist() == [10, 20, 30]
+    assert events.inputs[0].tolist() == [0, 0, 0, 0]
+    assert events.outcomes[0].tolist() == list(WIN)
 
 
 def test_parse_reports_line_number():
@@ -75,6 +79,8 @@ def test_parse_rejects_decreasing_timestamps():
         {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": [0, 1, 1, 1]},
         {"window_id": 0, "input": [0, 0, 0], "t_ps": 0, "outcomes": list(WIN)},
         {"window_id": 0, "t_ps": 0, "outcomes": list(WIN)},
+        {"window_id": 2**64, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": list(WIN)},
+        {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 2**64, "outcomes": list(WIN)},
     ],
 )
 def test_parse_rejects_bad_fields(doc):
@@ -82,11 +88,47 @@ def test_parse_rejects_bad_fields(doc):
         parse_events([json.dumps(doc)])
 
 
+def test_parse_keeps_full_uint64_range():
+    top = 2**64 - 1
+    events = parse_events(as_lines([event(top, t_ps=top)]))
+    assert events.window_id.dtype == events.t_ps.dtype == np.uint64
+    assert events.window_id.tolist() == events.t_ps.tolist() == [top]
+    assert events.inputs.dtype == events.outcomes.dtype == np.int8
+
+
+def test_parse_errors_across_chunk_boundaries(monkeypatch):
+    """Chunks of 4 lines: errors name the exact line, blank lines included."""
+    monkeypatch.setattr(REPLAY_MODULE, "PARSE_CHUNK_LINES", 4)
+    valid = as_lines([event(w, t_ps=t) for t in range(3) for w in range(3)])  # 9 lines
+    assert parse_events(valid) == parse_events(valid[:5] + ["", "  "] + valid[5:])
+
+    bad = json.dumps(event(9, input=(0, 0, 2, 0)))
+    lines = valid[:3] + ["", "   "] + valid[3:7] + [bad] + valid[7:]  # bad is line 10
+    with pytest.raises(ValueError, match=r"^line 10: input must be"):
+        parse_events(lines)
+
+    # window 7 spans both chunks; window 2's later clash and line 7's bad field come after it
+    spans = as_lines([event(1), event(7, t_ps=5), event(2), event(3),
+                      event(7, input=(1, 1, 0, 0), t_ps=6), event(2, input=(1, 1, 0, 0))])
+    with pytest.raises(ValueError) as exc:
+        parse_events(spans + [bad])
+    assert str(exc.value) == "window 7: inconsistent inputs [0, 0, 0, 0] vs [1, 1, 0, 0] (line 5)"
+
+    spans = as_lines([event(1), event(2), event(5, t_ps=100), event(3), event(4),
+                      event(6), event(5, t_ps=50)])
+    with pytest.raises(ValueError) as exc:
+        parse_events(spans + [bad])
+    assert str(exc.value) == "window 5: timestamps decrease (line 7)"
+    with pytest.raises(ValueError, match=r"^line 7: input must be"):
+        parse_events(spans[:6] + [bad] + spans[6:])
+
+
 def test_strict_select_identity_for_single_event_windows():
     docs = [event(i, t_ps=i) for i in range(5)]
-    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
-    assert [r.window_id for r in rounds] == list(range(5))
-    assert all(r.won for r in rounds)
+    events = parse_events(as_lines(docs))
+    rows, won = strict_select(events, MERMIN_GAME, seed=0)
+    assert events.window_id[rows].tolist() == list(range(5))
+    assert won.all()
 
 
 def test_strict_select_uniform_over_window_events():
@@ -100,8 +142,8 @@ def test_strict_select_uniform_over_window_events():
     wins = 0
     reps = 10_000
     for seed in range(reps):
-        rounds = strict_select(events, MERMIN_GAME, seed=seed)
-        wins += rounds[0].won
+        _, won = strict_select(events, MERMIN_GAME, seed=seed)
+        wins += won[0]
     sigma = math.sqrt(reps * 0.5 * 0.5)
     assert abs(wins - reps / 2) < 3 * sigma  # two of four events win
 
@@ -114,8 +156,8 @@ def test_strict_pass_rate_binomial():
     for w in range(n):
         won = rng.random() < 0.975
         docs.append(event(w, t_ps=w, outcomes=WIN if won else LOSE))
-    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=1)
-    rate = sum(r.won for r in rounds) / n
+    _, won = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=1)
+    rate = won.sum() / n
     sigma = math.sqrt(0.975 * 0.025 / n)
     assert abs(rate - 0.975) < 3 * sigma
 
@@ -124,15 +166,15 @@ def test_decomposed_keeps_every_event_and_shuffles():
     docs = [event(w, t_ps=w + k, outcomes=WIN if k == 0 else LOSE)
             for w in range(50) for k in range(3)]
     events = parse_events(as_lines(docs))
-    rounds = decomposed(events, MERMIN_GAME, seed=7)
-    assert len(rounds) == 150
-    assert sum(r.won for r in rounds) == 50
-    again = decomposed(events, MERMIN_GAME, seed=7)
-    assert rounds == again
-    other = decomposed(events, MERMIN_GAME, seed=8)
-    assert [r.window_id for r in other] != [r.window_id for r in rounds]
+    rows, won = decomposed(events, MERMIN_GAME, seed=7)
+    assert len(rows) == 150
+    assert won.sum() == 50
+    again_rows, again_won = decomposed(events, MERMIN_GAME, seed=7)
+    assert np.array_equal(rows, again_rows) and np.array_equal(won, again_won)
+    other_rows, other_won = decomposed(events, MERMIN_GAME, seed=8)
+    assert events.window_id[other_rows].tolist() != events.window_id[rows].tolist()
     # pass rate is permutation invariant by construction
-    assert sum(r.won for r in other) == 50
+    assert other_won.sum() == 50
 
 
 def test_strict_and_decomposed_agree_on_iid_data():
@@ -143,10 +185,10 @@ def test_strict_and_decomposed_agree_on_iid_data():
             won = rng.random() < 0.9
             docs.append(event(w, t_ps=3 * w + k, outcomes=WIN if won else LOSE))
     events = parse_events(as_lines(docs))
-    strict_rounds = strict_select(events, MERMIN_GAME, seed=2)
-    dec_rounds = decomposed(events, MERMIN_GAME, seed=2)
-    p_strict = sum(r.won for r in strict_rounds) / len(strict_rounds)
-    p_dec = sum(r.won for r in dec_rounds) / len(dec_rounds)
+    _, strict_won = strict_select(events, MERMIN_GAME, seed=2)
+    _, dec_won = decomposed(events, MERMIN_GAME, seed=2)
+    p_strict = strict_won.mean()
+    p_dec = dec_won.mean()
     sigma = math.sqrt(0.9 * 0.1 / 2000)
     assert abs(p_strict - p_dec) < 3 * sigma
 
@@ -156,8 +198,8 @@ def test_scoring_posterior_for_ambiguous_inputs():
     game = to_game(baccari_functional())
     # input (0,1,1,0) is consistent with both A0B1 and A0C1
     docs = [event(0, input=(0, 1, 1, 0), outcomes=(1, 1, -1, 1))]
-    rounds = strict_select(parse_events(as_lines(docs)), game, seed=3)
-    assert isinstance(rounds[0].won, bool)
+    _, won = strict_select(parse_events(as_lines(docs)), game, seed=3)
+    assert won.dtype == bool and won.shape == (1,)
 
 
 def test_scoring_rejects_impossible_input():
@@ -169,7 +211,7 @@ def test_scoring_rejects_impossible_input():
 
 def test_hold_out_uniform_over_two_rounds():
     docs = [event(0, t_ps=0), event(1, t_ps=1)]
-    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
+    _, rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     first = 0
     reps = 2000
     for seed in range(reps):
@@ -182,10 +224,10 @@ def test_hold_out_uniform_over_two_rounds():
 
 def test_hold_out_deterministic():
     docs = [event(i, t_ps=i) for i in range(10)]
-    rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
+    _, rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     a = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
     b = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
-    assert a == b
+    assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 def test_replay_single_round_infeasible():
@@ -219,7 +261,7 @@ def test_events_from_transcript_round_trip():
     transcript, _ = run_protocol(IIDNoisy(0.05), game, n_rounds=2001, n_cert=1, seed=61)
     events = events_from_transcript(transcript)
     assert len(events) == 2000
-    assert all(e.t_ps == i * 15_000_000_000_000 for i, e in enumerate(events))
+    assert events.t_ps.tolist() == [i * 15_000_000_000_000 for i in range(2000)]
     text = events_to_jsonl(events)
     parsed = parse_events(text.splitlines())
     assert parsed == events
