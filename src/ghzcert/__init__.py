@@ -61,10 +61,8 @@ from .simulate import (
     BlockCorrelated,
     Drifting,
     IIDNoisy,
-    RoundRecord,
     Transcript,
     run_protocol,
-    sample_round,
 )
 
 __version__ = "0.1.0"

@@ -67,6 +67,10 @@ class BellFunctional:
     def __post_init__(self):
         if len(self.ideal_settings) != self.parties:
             raise ValueError("one (input-0, input-1) observable pair per party required")
+        for term in self.terms:
+            if len(term.settings) != self.parties:
+                raise ValueError(f"term settings {list(term.settings)} do not name "
+                                 f"one setting per party for {self.parties} parties")
         abs_sum = sum(abs(t.coefficient) for t in self.terms)
         if abs_sum != self.beta_alg:
             raise ValueError(f"beta_alg {self.beta_alg} != sum of |coefficients| {abs_sum}")

@@ -68,6 +68,12 @@ def confidence_bound(n: int, mu_meas: float, p1: float, p2: float) -> float:
     return base**n
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValueError unless delta is a failure probability in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+
+
 @dataclass(frozen=True)
 class CertificationQuery:
     """Inputs of one certification: sample size, confidence, pass rate, constants."""
@@ -82,8 +88,7 @@ class CertificationQuery:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 copies, got {self.n}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+        check_delta(self.delta)
         if not 0.0 <= self.pass_rate <= 1.0:
             raise ValueError(f"pass rate must be in [0, 1], got {self.pass_rate!r}")
         if not 0.0 < self.mu_meas <= 1.0:
@@ -168,8 +173,7 @@ def min_samples(
     Scans integers upward from the continuous estimate ln δ / ln(e^{−D}),
     which ignores the held-out copy and therefore starts slightly low.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    check_delta(delta)
     epsilon1 = p_qm - pass_rate
     epsilon2 = bound.c * eta
     if epsilon2 <= epsilon1:

@@ -238,18 +238,20 @@ def _cmd_replay(args) -> int:
     with open(args.input, encoding="utf-8") as handle:
         events = parse_events(handle)
     functional, game, bound = operator_context(args.operator)
-    result = replay(events, game, bound, mode=args.mode, delta=args.delta, seed=args.seed)
+    transcript, report = replay(events, game, bound, mode=args.mode, delta=args.delta,
+                                seed=args.seed)
+    certified = report is not None  # at least 2 rounds: one held out, the rest measured
     payload = {
         "operator": args.operator,
-        "mode": result["mode"],
-        "n": result["n"],
-        "n_win": result["n_win"],
-        "pass_rate": result["pass_rate"],
-        "held_out_index": result["held_out_index"],
-        "certification": asdict(result["report"]) if "report" in result else None,
+        "mode": args.mode,
+        "n": transcript.n,
+        "n_win": transcript.n_win,
+        "pass_rate": transcript.pass_rate,
+        "held_out_index": int(transcript.held_out.argmax()) if certified else None,
+        "certification": asdict(report) if certified else None,
     }
     _emit(_json(payload), args.out)
-    return 0 if result["feasible"] else 1
+    return 0 if certified and report.feasible else 1
 
 
 _COMMANDS = {

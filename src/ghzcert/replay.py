@@ -12,9 +12,10 @@ turning acquisitions into game rounds: ``strict`` keeps one uniformly chosen
 event per window (true one-to-one input/output correspondence), ``decomposed``
 keeps every event and shuffles.
 
-Events are held in one column table, :class:`Events`; rounds are row indices
-into it with a win flag each. Each random choice (strict picks, the shuffle,
-posterior terms, the hold-out) is one vector per (seed, purpose) per call.
+Events are held in one column table, :class:`Events`; a mode picks rounds as
+row indices into it, and they go through simulation's round table, hold-out and
+certification query. Each random choice (strict picks, the shuffle, posterior
+terms, the hold-out) is one draw or one vector per (seed, purpose) per call.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from itertools import chain, compress, islice, repeat
 import numpy as np
 
 from .bell import NonlocalGame
-from .certification import CertificationQuery, max_certified_extractability
+from .certification import CertificationReport, check_delta, max_certified_extractability
 from .rng import TAG_HOLDOUT, TAG_SCORE, TAG_SELECT, TAG_SHUFFLE, rng_for
 from .selftest import SelfTestBound
-from .simulate import Transcript
+from .simulate import Transcript, certification_query, hold_out
 
 WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
 PARSE_CHUNK_LINES = 16_384  # lines decoded and turned into arrays at a time
@@ -171,46 +172,37 @@ def decomposed(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
     return rows, _round_wins(events, rows, game, seed)
 
 
-def hold_out(rounds, rng) -> tuple[int, np.ndarray]:
-    """Remove exactly one uniformly chosen round; the rest (an array) form the verification set."""
-    if len(rounds) == 0:
-        raise ValueError("no rounds to hold out from")
-    held = int(rng.integers(0, len(rounds)))
-    return held, np.delete(rounds, held, axis=0)
-
-
 def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str = "strict",
-           delta: float = 0.01, seed: int = 0) -> dict:
-    """Full replay: rounds from events, hold-out, pass rate, certification."""
+           delta: float = 0.01, seed: int = 0) -> tuple[Transcript, CertificationReport | None]:
+    """Full replay: rounds from events, hold-out, pass rate, certification.
+
+    With fewer than 2 rounds nothing is measured and the report is None."""
     if mode not in ("strict", "decomposed"):
         raise ValueError(f"unknown mode {mode!r}; choose strict or decomposed")
-    _, won = (strict_select if mode == "strict" else decomposed)(events, game, seed)
-    n = len(won)
-    result = {"mode": mode, "n": n, "n_win": 0, "pass_rate": None, "held_out_index": None,
-              "feasible": False}
+    check_delta(delta)
+    rows, won = (strict_select if mode == "strict" else decomposed)(events, game, seed)
+    n = len(rows)
+    held = hold_out(n, min(n, 1), rng_for(seed, 0, TAG_HOLDOUT))
+    inputs, outcomes = events.inputs[rows], events.outcomes[rows]
+    inputs[held] = outcomes[held] = 0
+    transcript = Transcript(inputs, outcomes, won & ~held, held, seed)
     if n < 2:
-        return result
-    held_index, verification = hold_out(won, rng_for(seed, 0, TAG_HOLDOUT))
-    n_win = int(np.count_nonzero(verification))
-    query = CertificationQuery(n=n, delta=delta, pass_rate=n_win / (n - 1), bound=bound,
-                               p_qm=game.p_qm, mu_meas=(n - 1) / n)
-    report = max_certified_extractability(query)
-    result.update(n_win=n_win, pass_rate=query.pass_rate, held_out_index=held_index,
-                  report=report, feasible=report.feasible)
-    return result
+        return transcript, None
+    return transcript, max_certified_extractability(
+        certification_query(transcript, game, bound, delta))
 
 
 def events_from_transcript(transcript: Transcript, window_span_ps: int = WINDOW_SPAN_PS) -> Events:
     """Synthetic event file content from a simulated transcript: each measured
     round becomes a window holding one event at its start (held-out rounds, never
     measured, leave none)."""
-    measured = transcript.measured_rounds()
-    n = len(measured)
+    measured = ~transcript.held_out
+    n = int(np.count_nonzero(measured))
     return Events(
         window_id=np.arange(n, dtype=np.uint64),
         t_ps=np.array([k * window_span_ps for k in range(n)], dtype=np.uint64),  # raises past 2**64
-        inputs=np.array([r.input for r in measured], dtype=np.int8).reshape(n, 4),
-        outcomes=np.array([r.outcomes for r in measured], dtype=np.int8).reshape(n, 4),
+        inputs=transcript.inputs[measured],
+        outcomes=transcript.outcomes[measured],
     )
 
 

@@ -5,6 +5,10 @@ out, the rest are measured: each round draws a game input, samples the joint
 ±1 outcome tuple from the Born rule, and is scored by the win predicate. The
 resulting pass rate feeds the finite-sample inversion.
 
+Rounds live in one column table, :class:`Transcript`, which replay builds
+too; :func:`hold_out` is the one hold-out draw and :func:`certification_query`
+the one query built from a transcript, for simulated and recorded rounds alike.
+
 Besides the white-noise IID source, two deliberately non-IID sources exist to
 exercise the pipeline under drift and block correlations; they are stress
 models, not adversary models.
@@ -12,15 +16,13 @@ models, not adversary models.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import NonlocalGame, _validate_settings
 from .certification import CertificationQuery, CertificationReport, max_certified_extractability
-from .quantum import ghz_state, maximally_mixed, noisy_ghz
+from .quantum import ghz_state, maximally_mixed
 from .rng import TAG_BLOCK, TAG_HOLDOUT, TAG_INPUT, TAG_OUTCOME, rng_for
 from .selftest import SelfTestBound
 
@@ -87,39 +89,53 @@ class BlockCorrelated:
 SourceModel = IIDNoisy | Drifting | BlockCorrelated
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round; held-out rounds carry no inputs or outcomes."""
-
-    round_index: int
-    input: tuple | None
-    outcomes: tuple | None
-    won: bool | None
-    held_out: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "input": None if self.input is None else list(self.input),
-            "outcomes": None if self.outcomes is None else list(self.outcomes),
-            "won": self.won,
-            "held_out": self.held_out,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    rounds: tuple
-    n: int
-    n_win: int
-    pass_rate: float
+    """Column table of protocol rounds, one row per round in round order.
+
+    Held-out rounds are never measured: their ``inputs`` and ``outcomes`` rows
+    are zero and their ``won`` flag is False.
+    """
+
+    inputs: np.ndarray  # int8 (n, 4), settings in {0, 1}
+    outcomes: np.ndarray  # int8 (n, 4), values in {-1, 1}
+    won: np.ndarray  # bool (n,)
+    held_out: np.ndarray  # bool (n,)
     seed: int
 
-    def measured_rounds(self) -> list[RoundRecord]:
-        return [r for r in self.rounds if not r.held_out]
+    @property
+    def n(self) -> int:
+        return len(self.held_out)
+
+    @property
+    def n_measured(self) -> int:
+        return self.n - int(np.count_nonzero(self.held_out))
+
+    @property
+    def n_win(self) -> int:
+        return int(np.count_nonzero(self.won))
+
+    @property
+    def pass_rate(self) -> float | None:
+        """Won fraction of the measured rounds; None when no round is measured."""
+        return self.n_win / self.n_measured if self.n_measured else None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Transcript) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_dict()) for r in self.rounds) + "\n"
+        """One JSON object per round: round_index, input, outcomes, won, held_out
+        (null input, outcomes and won on held-out rounds)."""
+        rows = zip(self.inputs.tolist(), self.outcomes.tolist(), self.won.tolist(),
+                   self.held_out.tolist())
+        return "\n".join(
+            f'{{"round_index": {j}, "input": null, "outcomes": null, "won": null, '
+            f'"held_out": true}}' if held else
+            f'{{"round_index": {j}, "input": {i}, "outcomes": {o}, '
+            f'"won": {"true" if w else "false"}, "held_out": false}}'
+            for j, (i, o, w, held) in enumerate(rows)
+        ) + "\n"
 
 
 def outcome_table(rho: np.ndarray, settings) -> np.ndarray:
@@ -149,54 +165,35 @@ def outcome_table(rho: np.ndarray, settings) -> np.ndarray:
     return table
 
 
-_OUTCOME_TUPLES = [
-    tuple(1 if (idx >> (3 - p)) & 1 == 0 else -1 for p in range(4)) for idx in range(16)
-]
+def _bits(codes: np.ndarray) -> np.ndarray:
+    """(n, 4) bits of 4-bit codes, party 1 the high bit."""
+    return (codes[:, None] >> np.arange(3, -1, -1)) & 1
 
 
-def _draw_round(
-    table: np.ndarray, game: NonlocalGame, rng_in: np.random.Generator,
-    rng_out: np.random.Generator,
-) -> tuple[tuple, tuple, int]:
-    """(input, outcomes, term_index) for one measured round."""
-    terms = game.functional.terms
-    term_index = int(rng_in.choice(len(terms), p=game.input_distribution))
-    term = terms[term_index]
-    inputs = []
-    for setting in term.settings:
-        inputs.append(int(rng_in.integers(0, 2)) if setting is None else setting)
-    inputs = tuple(inputs)
-    row = table[inputs].reshape(16)
-    outcome_index = int(rng_out.choice(16, p=row))
-    return inputs, _OUTCOME_TUPLES[outcome_index], term_index
-
-
-def sample_round(
-    rho: np.ndarray, game: NonlocalGame, settings=None,
-    rng: np.random.Generator | None = None,
-) -> RoundRecord:
-    """One measured round on an explicit state (input draw, Born sample, score)."""
-    if settings is None:
-        settings = game.functional.ideal_settings
-    if rng is None:
-        rng = np.random.default_rng()
-    table = outcome_table(rho, settings)
-    inputs, outcomes, term_index = _draw_round(table, game, rng, rng)
-    return RoundRecord(
-        round_index=0,
-        input=inputs,
-        outcomes=outcomes,
-        won=game.won(term_index, outcomes),
-        held_out=False,
-    )
-
-
-def draw_holdout(n_rounds: int, n_cert: int, rng: np.random.Generator) -> set[int]:
-    """Roll an n-faced die until n_cert distinct indices are obtained."""
-    held: set[int] = set()
-    while len(held) < n_cert:
-        held.add(int(rng.integers(0, n_rounds)))
+def hold_out(n: int, n_cert: int, rng: np.random.Generator) -> np.ndarray:
+    """Mask of the held-out rounds: roll an n-faced die until n_cert distinct faces came up."""
+    if not 0 <= n_cert <= n:
+        raise ValueError(f"cannot hold out {n_cert} of {n} rounds")
+    faces: set[int] = set()
+    while len(faces) < n_cert:
+        faces.add(int(rng.integers(0, n)))
+    held = np.zeros(n, dtype=bool)
+    held[list(faces)] = True
     return held
+
+
+def certification_query(
+    transcript: Transcript, game: NonlocalGame, bound: SelfTestBound, delta: float
+) -> CertificationQuery:
+    """Query certifying a held-out copy from the pass rate of the measured rounds."""
+    return CertificationQuery(
+        n=transcript.n,
+        delta=delta,
+        pass_rate=transcript.pass_rate,
+        bound=bound,
+        p_qm=game.p_qm,
+        mu_meas=transcript.n_measured / transcript.n,
+    )
 
 
 def run_protocol(
@@ -211,47 +208,46 @@ def run_protocol(
 ) -> tuple[Transcript, CertificationReport | None]:
     """Run the full protocol: emit, hold out, measure, score, certify.
 
-    The certification report is produced when ``bound`` is given; the
-    transcript alone is returned otherwise. Identical (source, N, N_c, seed)
-    give bit-identical transcripts.
+    Round j draws its term and free settings from ``rng_for(seed, j, TAG_INPUT)``
+    and its outcome from ``rng_for(seed, j, TAG_OUTCOME)``; all rounds are then
+    scored at once. The certification report is produced when ``bound`` is
+    given; the transcript alone is returned otherwise. Identical (source, N,
+    N_c, seed) give bit-identical transcripts.
     """
     if not 1 <= n_cert < n_rounds:
         raise ValueError(f"need 1 <= n_cert < n_rounds, got {n_cert}, {n_rounds}")
     if settings is None:
         settings = game.functional.ideal_settings
 
-    table_ghz = outcome_table(ghz_state(4), settings)
-    table_mixed = outcome_table(maximally_mixed(16), settings)
+    table_ghz = outcome_table(ghz_state(4), settings).reshape(16, 16)
+    table_mixed = outcome_table(maximally_mixed(16), settings).reshape(16, 16)
+    term_settings = [t.settings for t in game.functional.terms]
 
-    held = draw_holdout(n_rounds, n_cert, rng_for(seed, 0, TAG_HOLDOUT))
-    rounds = []
-    n_win = 0
-    for j in range(n_rounds):
-        if j in held:
-            rounds.append(RoundRecord(j, None, None, None, True))
-            continue
+    held = hold_out(n_rounds, n_cert, rng_for(seed, 0, TAG_HOLDOUT))
+    measured = np.flatnonzero(~held)
+    draws = []  # (term, input code, outcome code) per measured round
+    table_alpha = None
+    for j in measured.tolist():
         alpha = source.alpha_at(j, n_rounds, seed)
-        table = (1.0 - alpha) * table_ghz + alpha * table_mixed
-        inputs, outcomes, term_index = _draw_round(
-            table, game, rng_for(seed, j, TAG_INPUT), rng_for(seed, j, TAG_OUTCOME)
-        )
-        won = game.won(term_index, outcomes)
-        n_win += won
-        rounds.append(RoundRecord(j, inputs, outcomes, won, False))
+        if alpha != table_alpha:  # rows of P(outcomes | input) at this noise level
+            table, table_alpha = (1.0 - alpha) * table_ghz + alpha * table_mixed, alpha
+        rng_in = rng_for(seed, j, TAG_INPUT)
+        term = int(rng_in.choice(len(term_settings), p=game.input_distribution))
+        code = 0
+        for setting in term_settings[term]:
+            code = 2 * code + (int(rng_in.integers(0, 2)) if setting is None else setting)
+        outcome = int(rng_for(seed, j, TAG_OUTCOME).choice(16, p=table[code]))
+        draws.append((term, code, outcome))
+    terms, codes, outcome_codes = np.array(draws, dtype=np.intp).reshape(-1, 3).T
 
-    measured = n_rounds - n_cert
-    pass_rate = n_win / measured
-    transcript = Transcript(
-        rounds=tuple(rounds), n=n_rounds, n_win=n_win, pass_rate=pass_rate, seed=seed
-    )
+    inputs = np.zeros((n_rounds, 4), dtype=np.int8)
+    outcomes = np.zeros((n_rounds, 4), dtype=np.int8)
+    won = np.zeros(n_rounds, dtype=bool)
+    inputs[measured] = _bits(codes)
+    outcomes[measured] = 1 - 2 * _bits(outcome_codes)  # bit 0 -> +1
+    won[measured] = game.won_terms(terms, outcomes[measured])
+    transcript = Transcript(inputs, outcomes, won, held, seed)
     if bound is None:
         return transcript, None
-    query = CertificationQuery(
-        n=n_rounds,
-        delta=delta,
-        pass_rate=pass_rate,
-        bound=bound,
-        p_qm=game.p_qm,
-        mu_meas=measured / n_rounds,
-    )
-    return transcript, max_certified_extractability(query)
+    return transcript, max_certified_extractability(
+        certification_query(transcript, game, bound, delta))

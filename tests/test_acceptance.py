@@ -53,7 +53,7 @@ from ghzcert.selftest import (
     evaluate_grid,
     published_bound,
 )
-from ghzcert.simulate import IIDNoisy, RoundRecord, Transcript, run_protocol
+from ghzcert.simulate import IIDNoisy, Transcript, run_protocol
 
 THREADS = min(4, os.cpu_count() or 1)
 CORNER_SLOPE = 7.0 / 32.0  # zero of 4s - 7/8, the all-zero corner's min eigenvalue
@@ -207,29 +207,30 @@ def test_criterion_8_end_to_end_replay(tmp_path):
     won_flags = np.zeros(n_windows, dtype=bool)
     won_flags[:wins] = True
     rng.shuffle(won_flags)
-    rounds = []
+    inputs = np.zeros((n_windows, 4), dtype=np.int8)
+    outcomes = np.ones((n_windows, 4), dtype=np.int8)
     for j in range(n_windows):
         term_index = int(rng.choice(len(game.functional.terms),
                                     p=game.input_distribution))
         term = game.functional.terms[term_index]
-        target = term.sign if won_flags[j] else -term.sign
-        rounds.append(RoundRecord(j, term.settings, (1, 1, 1, target), bool(won_flags[j]), False))
-    transcript = Transcript(tuple(rounds), n_windows, wins, wins / n_windows, 314159)
+        inputs[j] = term.settings
+        outcomes[j, 3] = term.sign if won_flags[j] else -term.sign
+    transcript = Transcript(inputs, outcomes, won_flags, np.zeros(n_windows, dtype=bool), 314159)
 
     path = tmp_path / "synthetic.jsonl"
     path.write_text(events_to_jsonl(events_from_transcript(transcript)))
     with open(path, encoding="utf-8") as handle:
         events = parse_events(handle)
-    result = replay(events, game, bound, mode="strict", delta=0.01, seed=77)
-    value = result["report"].certified_extractability
+    replayed, report = replay(events, game, bound, mode="strict", delta=0.01, seed=77)
+    value = report.certified_extractability
     elapsed = time.perf_counter() - t0
     ok = (
-        result["n"] == 4644 and result["feasible"]
+        replayed.n == 4644 and report.feasible
         and abs(value - 0.896) <= 0.004 and elapsed < 10.0
     )
     check(
         8,
-        f"strict replay of 4644 synthetic windows (P={result['pass_rate']:.5f}) "
+        f"strict replay of 4644 synthetic windows (P={replayed.pass_rate:.5f}) "
         f"certified {value:.4f} (0.896 +/- 0.004)",
         ok, elapsed,
     )

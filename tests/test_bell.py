@@ -221,6 +221,14 @@ def test_term_validation():
         BellTerm(1.0, (2, 0, 0, 0))
 
 
+@pytest.mark.parametrize("settings", [[0, 0, 0], [0, 0, 0, 0, 0]])
+def test_functional_rejects_term_without_one_setting_per_party(settings):
+    doc = json.loads(functional_to_json(mermin_functional()))
+    doc["terms"][0]["settings"] = settings
+    with pytest.raises(ValueError, match="one setting per party"):
+        functional_from_json(json.dumps(doc))
+
+
 def test_get_functional_unknown():
     with pytest.raises(ValueError):
         get_functional("chsh")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ghzcert
+from ghzcert.bell import functional_to_json, mermin_functional
 from ghzcert.cli import build_parser, dispatch
 
 
@@ -74,6 +75,16 @@ BAD_OPERATOR_FILES = {
 }
 
 
+def _mermin_with_first_term_settings(settings) -> str:
+    doc = json.loads(functional_to_json(mermin_functional()))
+    doc["terms"][0]["settings"] = settings
+    return json.dumps(doc)
+
+
+BAD_OPERATOR_FILES["three_settings"] = _mermin_with_first_term_settings([0, 0, 0])
+BAD_OPERATOR_FILES["five_settings"] = _mermin_with_first_term_settings([0, 0, 0, 0, 0])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -87,10 +98,14 @@ BAD_OPERATOR_FILES = {
         ["bound", "--operator-file", "{term_not_object}"],
         ["bound", "--operator-file", "{terms_not_list}"],
         ["bound", "--operator-file", "{bad_ideal_settings}"],
+        ["bound", "--operator-file", "{three_settings}"],
+        ["bound", "--operator-file", "{five_settings}"],
+        ["replay", "--input", "{empty}", "--delta", "5"],  # too few rounds to certify
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
-    paths = {"missing": tmp_path / "missing.json"}
+    paths = {"missing": tmp_path / "missing.json", "empty": tmp_path / "empty.jsonl"}
+    paths["empty"].write_text("")
     for name, text in BAD_OPERATOR_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
@@ -215,19 +230,17 @@ def test_replay_cli_round_trip(tmp_path, capsys):
         capsys,
     )
     from ghzcert.replay import events_to_jsonl, events_from_transcript
-    from ghzcert.simulate import RoundRecord, Transcript
+    from ghzcert.simulate import Transcript
 
-    lines = (tmp_path / "t.jsonl").read_text().strip().split("\n")
-    rounds = []
-    for doc in map(json.loads, lines):
-        rounds.append(RoundRecord(
-            doc["round_index"],
-            None if doc["input"] is None else tuple(doc["input"]),
-            None if doc["outcomes"] is None else tuple(doc["outcomes"]),
-            doc["won"], doc["held_out"],
-        ))
-    wins = sum(1 for r in rounds if r.won)
-    transcript = Transcript(tuple(rounds), 500, wins, wins / 499, 21)
+    docs = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    transcript = Transcript(
+        inputs=np.array([d["input"] or [0] * 4 for d in docs], dtype=np.int8),
+        outcomes=np.array([d["outcomes"] or [0] * 4 for d in docs], dtype=np.int8),
+        won=np.array([d["won"] is True for d in docs]),
+        held_out=np.array([d["held_out"] for d in docs]),
+        seed=21,
+    )
+    assert transcript.to_jsonl() == (tmp_path / "t.jsonl").read_text()
     (tmp_path / "events.jsonl").write_text(
         events_to_jsonl(events_from_transcript(transcript))
     )

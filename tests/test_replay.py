@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import baccari_functional, mermin_functional, to_game
-from ghzcert.certification import operator_context
+from ghzcert.certification import CertificationQuery, max_certified_extractability, operator_context
 from ghzcert.replay import (
     decomposed,
     events_from_transcript,
@@ -210,31 +210,47 @@ def test_scoring_rejects_impossible_input():
 
 
 def test_hold_out_uniform_over_two_rounds():
-    docs = [event(0, t_ps=0), event(1, t_ps=1)]
-    _, rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
     first = 0
     reps = 2000
     for seed in range(reps):
-        held, rest = hold_out(rounds, rng_for(seed, 0, TAG_HOLDOUT))
-        assert len(rest) == 1
-        first += held == 0
+        held = hold_out(2, 1, rng_for(seed, 0, TAG_HOLDOUT))
+        assert held.sum() == 1
+        first += held[0]
     sigma = math.sqrt(reps * 0.25)
     assert abs(first - reps / 2) < 3 * sigma
 
 
 def test_hold_out_deterministic():
-    docs = [event(i, t_ps=i) for i in range(10)]
-    _, rounds = strict_select(parse_events(as_lines(docs)), MERMIN_GAME, seed=0)
-    a = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
-    b = hold_out(rounds, rng_for(4, 0, TAG_HOLDOUT))
-    assert a[0] == b[0] and np.array_equal(a[1], b[1])
+    a = hold_out(10, 1, rng_for(4, 0, TAG_HOLDOUT))
+    b = hold_out(10, 1, rng_for(4, 0, TAG_HOLDOUT))
+    assert np.array_equal(a, b)
 
 
 def test_replay_single_round_infeasible():
     _, game, bound = operator_context("mermin")
     events = parse_events(as_lines([event(0)]))
-    result = replay(events, game, bound, mode="strict", delta=0.01, seed=0)
-    assert not result["feasible"] and result["n"] == 1
+    transcript, report = replay(events, game, bound, mode="strict", delta=0.01, seed=0)
+    assert report is None and transcript.n == 1 and transcript.pass_rate is None
+
+
+def test_replay_transcript_holds_out_one_round():
+    _, game, bound = operator_context("mermin")
+    docs = [event(w, outcomes=LOSE if w % 4 == 0 else WIN) for w in range(12)]
+    transcript, report = replay(parse_events(as_lines(docs)), game, bound, seed=3)
+    held = transcript.held_out
+    assert held.sum() == 1 and transcript.n == 12 and transcript.n_measured == 11
+    assert not transcript.inputs[held].any() and not transcript.outcomes[held].any()
+    assert not transcript.won[held].any()
+    assert transcript.n_win == 9 - (held.argmax() % 4 != 0)  # rounds 0, 4 and 8 lose
+    assert report is not None
+
+
+def test_replay_empty_and_bad_delta():
+    _, game, bound = operator_context("mermin")
+    transcript, report = replay(parse_events([]), game, bound)
+    assert (transcript.n, transcript.n_win, transcript.pass_rate, report) == (0, 0, None, None)
+    with pytest.raises(ValueError, match="delta"):
+        replay(parse_events([]), game, bound, delta=5.0)
 
 
 def test_replay_unknown_mode():
@@ -252,7 +268,7 @@ def test_replay_is_pure_function_of_inputs():
     assert r1 == r2
     r3 = replay(parse_events(text.splitlines()), game, bound, mode="decomposed",
                 delta=0.01, seed=5)
-    assert r3["n"] == r1["n"]  # one event per window
+    assert r3[0].n == r1[0].n  # one event per window
 
 
 def test_events_from_transcript_round_trip():
@@ -265,8 +281,10 @@ def test_events_from_transcript_round_trip():
     text = events_to_jsonl(events)
     parsed = parse_events(text.splitlines())
     assert parsed == events
-    result = replay(parsed, game, bound, mode="strict", delta=0.01, seed=6)
+    replayed, report = replay(parsed, game, bound, mode="strict", delta=0.01, seed=6)
     # strict mode with one event per window replays the transcript minus one holdout
-    assert abs(result["pass_rate"] - transcript.pass_rate) < 2.0 / 2000
-    # replay's query consumes the identical pass-rate float
-    assert result["n_win"] / (result["n"] - 1) == result["pass_rate"]
+    assert abs(replayed.pass_rate - transcript.pass_rate) < 2.0 / 2000
+    assert replayed.n_win / (replayed.n - 1) == replayed.pass_rate
+    assert report == max_certified_extractability(CertificationQuery(
+        n=2000, delta=0.01, pass_rate=replayed.pass_rate, bound=bound, p_qm=game.p_qm,
+        mu_meas=1999 / 2000))

@@ -8,17 +8,15 @@ import pytest
 
 from ghzcert.bell import mermin_functional, to_game, zhao_functional
 from ghzcert.certification import operator_context
-from ghzcert.quantum import ghz_state, maximally_mixed, noisy_ghz
+from ghzcert.quantum import maximally_mixed, noisy_ghz
 from ghzcert.rng import TAG_INPUT, TAG_OUTCOME, rng_for
 from ghzcert.simulate import (
     BlockCorrelated,
     Drifting,
     IIDNoisy,
-    _draw_round,
-    draw_holdout,
+    hold_out,
     outcome_table,
     run_protocol,
-    sample_round,
 )
 
 MERMIN_GAME = to_game(mermin_functional())
@@ -36,17 +34,23 @@ def test_outcome_table_uniform_for_mixed_state():
     assert np.allclose(table, 1.0 / 16.0, atol=1e-12)
 
 
-def test_sample_round_ideal_always_wins():
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        record = sample_round(ghz_state(4), MERMIN_GAME, rng=rng)
-        assert record.won
+def test_ideal_state_always_wins():
+    transcript, _ = run_protocol(IIDNoisy(0.0), MERMIN_GAME, n_rounds=501, n_cert=1, seed=2)
+    assert transcript.n_win == 500 and transcript.pass_rate == 1.0
 
-def test_sample_round_fields():
-    record = sample_round(noisy_ghz(0.2), MERMIN_GAME, rng=np.random.default_rng(4))
-    assert len(record.input) == 4 and all(i in (0, 1) for i in record.input)
-    assert len(record.outcomes) == 4 and all(o in (-1, 1) for o in record.outcomes)
-    assert isinstance(record.won, bool) and not record.held_out
+
+def test_transcript_columns():
+    transcript, _ = run_protocol(IIDNoisy(0.2), MERMIN_GAME, n_rounds=50, n_cert=3, seed=4)
+    held = transcript.held_out
+    assert held.dtype == bool and held.shape == (50,) and held.sum() == 3
+    assert transcript.inputs.dtype == transcript.outcomes.dtype == np.int8
+    assert transcript.inputs.shape == transcript.outcomes.shape == (50, 4)
+    assert np.isin(transcript.inputs[~held], (0, 1)).all()
+    assert np.isin(transcript.outcomes[~held], (-1, 1)).all()
+    assert not transcript.inputs[held].any() and not transcript.outcomes[held].any()
+    assert transcript.won.dtype == bool and not transcript.won[held].any()
+    assert (transcript.n, transcript.n_measured) == (50, 47)
+    assert transcript.pass_rate == transcript.n_win / 47
 
 
 def test_mixed_state_outcomes_uniform_chi2():
@@ -54,10 +58,8 @@ def test_mixed_state_outcomes_uniform_chi2():
     transcript, _ = run_protocol(
         IIDNoisy(1.0), MERMIN_GAME, n_rounds=100_001, n_cert=1, seed=51
     )
-    counts = np.zeros(16)
-    for record in transcript.measured_rounds():
-        idx = sum((1 << (3 - p)) for p, o in enumerate(record.outcomes) if o == -1)
-        counts[idx] += 1
+    minus = transcript.outcomes[~transcript.held_out] == -1
+    counts = np.bincount(minus @ np.array([8, 4, 2, 1]), minlength=16)
     expected = counts.sum() / 16.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 37.7  # p = 0.001 tail of chi2 with 15 dof
@@ -93,34 +95,40 @@ def test_rounds_reproducible_out_of_order():
     """Each measured round depends only on (seed, round index, purpose)."""
     transcript, _ = run_protocol(IIDNoisy(0.3), MERMIN_GAME, n_rounds=50, n_cert=1, seed=77)
     table = outcome_table(noisy_ghz(0.3), mermin_functional().ideal_settings)
-    for record in reversed(transcript.measured_rounds()):
-        inputs, outcomes, term_index = _draw_round(
-            table, MERMIN_GAME,
-            rng_for(77, record.round_index, TAG_INPUT),
-            rng_for(77, record.round_index, TAG_OUTCOME),
-        )
-        assert inputs == record.input and outcomes == record.outcomes
-        assert MERMIN_GAME.won(term_index, outcomes) == record.won
+    terms = MERMIN_GAME.functional.terms
+    for j in reversed(np.flatnonzero(~transcript.held_out).tolist()):
+        rng_in = rng_for(77, j, TAG_INPUT)
+        term_index = int(rng_in.choice(len(terms), p=MERMIN_GAME.input_distribution))
+        inputs = tuple(int(rng_in.integers(0, 2)) if s is None else s
+                       for s in terms[term_index].settings)
+        outcome_index = int(rng_for(77, j, TAG_OUTCOME).choice(16, p=table[inputs].reshape(16)))
+        outcomes = tuple(1 - 2 * ((outcome_index >> (3 - p)) & 1) for p in range(4))
+        assert inputs == tuple(transcript.inputs[j]) and outcomes == tuple(transcript.outcomes[j])
+        assert MERMIN_GAME.won(term_index, outcomes) == transcript.won[j]
 
 
 def test_holdout_uniform():
     counts = np.zeros(10)
     for rep in range(10_000):
-        held = draw_holdout(10, 1, rng_for(5, rep, 99))
-        counts[held.pop()] += 1
+        counts += hold_out(10, 1, rng_for(5, rep, 99))
     sigma = math.sqrt(10_000 * 0.1 * 0.9)
     assert np.all(np.abs(counts - 1000) < 3 * sigma)
 
 
 def test_holdout_distinct_indices():
-    held = draw_holdout(20, 7, rng_for(1, 0, 99))
-    assert len(held) == 7 and all(0 <= i < 20 for i in held)
+    held = hold_out(20, 7, rng_for(1, 0, 99))
+    assert held.dtype == bool and held.shape == (20,) and held.sum() == 7
+
+
+def test_holdout_rejects_more_copies_than_rounds():
+    with pytest.raises(ValueError):
+        hold_out(3, 4, rng_for(1, 0, 99))
 
 
 def test_degenerate_split_single_verification_round():
     transcript, _ = run_protocol(IIDNoisy(0.5), MERMIN_GAME, n_rounds=4, n_cert=3, seed=8)
     assert transcript.pass_rate in (0.0, 1.0)
-    assert len(transcript.measured_rounds()) == 1
+    assert transcript.n_measured == 1
 
 
 def test_run_protocol_validates_split():
