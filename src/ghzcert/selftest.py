@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -460,7 +461,8 @@ class Grid:
 
 @contextmanager
 def open_grid(functional: BellFunctional, grid_step: float, threads: int = 1):
-    """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its passes.
+    """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its
+    passes, capped at the CPUs this process may run on.
 
     The grid is the product of branch-resolved nodes, reduced to sorted tuples
     when the functional is party-symmetric (which leaves every extremum over
@@ -470,9 +472,11 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int = 1):
     symmetric = is_party_symmetric(functional)
     indices = _grid_indices(len(node_angles), functional.parties, symmetric)
     init_args = (functional, node_angles, node_branches, indices)
-    if threads > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1)  # the pool forks all its workers at the first pass
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=init_args
+            max_workers=workers, initializer=_init_worker, initargs=init_args
         ) as pool:
             yield Grid(node_angles, node_branches, len(indices), pool.map)
     else:

@@ -17,6 +17,7 @@ models, not adversary models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,9 +82,13 @@ class BlockCorrelated:
             raise ValueError(f"bad fraction must be in [0, 1], got {self.bad_fraction!r}")
 
     def alpha_at(self, index: int, n_rounds: int, seed: int) -> float:
-        block = index // self.block_length
-        bad = rng_for(seed, block, TAG_BLOCK).random() < self.bad_fraction
+        bad = _block_draw(seed, index // self.block_length) < self.bad_fraction
         return self.alpha_bad if bad else self.alpha_good
+
+
+@lru_cache(maxsize=1)  # rounds come in order, so each block's draw is made once
+def _block_draw(seed: int, block: int) -> float:
+    return rng_for(seed, block, TAG_BLOCK).random()
 
 
 SourceModel = IIDNoisy | Drifting | BlockCorrelated

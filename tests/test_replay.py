@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ghzcert.bell import baccari_functional, mermin_functional, to_game
 from ghzcert.certification import CertificationQuery, max_certified_extractability, operator_context
 from ghzcert.replay import (
+    Events,
     decomposed,
     events_from_transcript,
     events_to_jsonl,
@@ -121,6 +123,76 @@ def test_parse_errors_across_chunk_boundaries(monkeypatch):
     assert str(exc.value) == "window 5: timestamps decrease (line 7)"
     with pytest.raises(ValueError, match=r"^line 7: input must be"):
         parse_events(spans[:6] + [bad] + spans[6:])
+
+
+def canonical(window_id, t_ps=0, input=(0, 0, 0, 0), outcomes=WIN):
+    return json.dumps(event(window_id, input, t_ps, outcomes)) + "\n"
+
+
+def swap(line, old, new):
+    assert old in line
+    return line.replace(old, new, 1)
+
+
+_LINES = [canonical(w, t_ps=t) for t in range(3) for w in range(3)]  # 9 lines
+_WITH_ID = [canonical(1), *(canonical(w, t_ps=10**17 + 1) for w in (
+    10**18 - 1, 10**18, 12_345_678_901_234_567_890, 2**64 - 1))]
+_SPLIT = canonical(2)
+PARSE_PATH_INPUTS = {
+    "canonical": _LINES,
+    "canonical, inconsistent window": _LINES + [canonical(1, 5, input=(1, 1, 0, 0))],
+    "canonical, decreasing timestamps": _LINES + [canonical(2, 1)],
+    "ids of 18 to 20 digits": _WITH_ID,
+    "id 2**64": _WITH_ID + [canonical(2**64)],
+    "leading zero": _LINES + [swap(canonical(4), ": 4,", ": 04,")],
+    "-0 id": _LINES + [swap(canonical(4), ": 4,", ": -0,")],
+    "-0 outcome": _LINES + [swap(canonical(4), "[1, 1", "[-0, 1")],
+    "1.0 id": _LINES + [swap(canonical(4), ": 4,", ": 1.0,")],
+    "true input": _LINES + [swap(canonical(4), "[0, 0", "[true, 0")],
+    "extra spaces": _LINES + [swap(canonical(4), '{"', '{ "')],
+    "reordered keys": _LINES + [json.dumps(dict(reversed(event(4).items()))) + "\n"],
+    "extra key": _LINES + [json.dumps({**event(4), "extra": 1}) + "\n"],
+    "crlf": _LINES[:4] + [swap(canonical(4), "\n", "\r\n")] + _LINES[4:],
+    "no final newline": _LINES[:-1] + [_LINES[-1].rstrip("\n")],
+    "blank line": _LINES[:3] + ["\n"] + _LINES[3:],
+    # lines 1 and 2-3 join into canonical text, but neither line is a record
+    "two records, then one split": [_LINES[0].rstrip("\n") + _LINES[1], _SPLIT[:30], _SPLIT[30:]],
+    "bytes lines": [line.encode() for line in _LINES],
+}
+
+
+def parse_outcome(lines):
+    try:
+        return parse_events(lines)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+@pytest.mark.parametrize("name", PARSE_PATH_INPUTS)
+def test_parse_canonical_fast_path_agrees_with_json(name, chunk, monkeypatch):
+    """Every input parses to the same events, or fails with the same error, with
+    the canonical-line fast path on and off."""
+    if chunk:  # canonical and non-canonical chunks mixed
+        monkeypatch.setattr(REPLAY_MODULE, "PARSE_CHUNK_LINES", chunk)
+    lines = PARSE_PATH_INPUTS[name]
+    fast = parse_outcome(lines)
+    monkeypatch.setattr(REPLAY_MODULE, "_CANONICAL", re.compile(r"(?!)"))  # never matches
+    slow = parse_outcome(lines)
+    assert type(fast) is type(slow) and fast == slow
+    if isinstance(slow, Events):
+        assert [a.dtype for a in vars(fast).values()] == [a.dtype for a in vars(slow).values()]
+
+
+def test_parse_fast_path_reads_what_events_to_jsonl_writes():
+    transcript, _ = run_protocol(IIDNoisy(0.3), MERMIN_GAME, n_rounds=201, n_cert=1, seed=62)
+    events = events_from_transcript(transcript)
+    top = Events(np.array([10**18 - 1], dtype=np.uint64), np.array([10**18 - 1], dtype=np.uint64),
+                 np.ones((1, 4), dtype=np.int8), -np.ones((1, 4), dtype=np.int8))
+    for table in (events, top):
+        lines = events_to_jsonl(table).splitlines(keepends=True)
+        assert all(map(REPLAY_MODULE._CANONICAL.fullmatch, lines))
+        assert parse_events(lines) == table
 
 
 def test_strict_select_identity_for_single_event_windows():

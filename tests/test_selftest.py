@@ -1,8 +1,10 @@
 """Jordan certificate machinery and the self-testing bound search."""
 
 import dataclasses
+import importlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -270,6 +272,34 @@ def test_grid_evaluation_thread_count_invariant():
         other = evaluate_grid(0.2, f, grid_step=math.pi / 12, threads=threads)
         assert other.min_eig == ref.min_eig
         assert other.worst_point == ref.worst_point
+
+
+def test_grid_pool_capped_at_usable_cpus(monkeypatch):
+    """``threads`` above the usable CPU count starts one worker per CPU, no more."""
+    seen = []
+
+    class InlinePool:  # records the worker count and runs each task in this process
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "ProcessPoolExecutor",
+                        InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    f = mermin_functional()
+    ref = evaluate_grid(0.2, f, grid_step=math.pi / 12, threads=1)
+    for threads in (2, 3, 10_000):
+        other = evaluate_grid(0.2, f, grid_step=math.pi / 12, threads=threads)
+        assert other.min_eig == ref.min_eig and other.worst_point == ref.worst_point
+    assert seen == [2, 3, 3]
 
 
 def test_self_test_bound_saturation():

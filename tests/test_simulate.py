@@ -1,5 +1,6 @@
 """Protocol Monte Carlo: sampling statistics, determinism, source models."""
 
+import importlib
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from ghzcert.bell import mermin_functional, to_game, zhao_functional
 from ghzcert.certification import operator_context
 from ghzcert.quantum import maximally_mixed, noisy_ghz
-from ghzcert.rng import TAG_INPUT, TAG_OUTCOME, rng_for
+from ghzcert.rng import TAG_BLOCK, TAG_INPUT, TAG_OUTCOME, rng_for
 from ghzcert.simulate import (
     BlockCorrelated,
     Drifting,
@@ -19,6 +20,7 @@ from ghzcert.simulate import (
     run_protocol,
 )
 
+SIMULATE_MODULE = importlib.import_module("ghzcert.simulate")
 MERMIN_GAME = to_game(mermin_functional())
 
 
@@ -176,6 +178,23 @@ def test_block_correlated_caps_pass_rate():
     assert not report.feasible or (
         report.certified_extractability < clean_report.certified_extractability
     )
+
+
+def test_block_source_builds_one_generator_per_block(monkeypatch):
+    """2 Generators per measured round, 1 per block and 1 for the hold-out."""
+    calls = []
+
+    def counting_rng_for(*key):
+        calls.append(key)
+        return rng_for(*key)
+
+    source = BlockCorrelated(alpha_good=0.05, alpha_bad=1.0, block_length=7, bad_fraction=0.3)
+    run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)  # counted again below
+    monkeypatch.setattr(SIMULATE_MODULE, "rng_for", counting_rng_for)
+    run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)
+    assert len(calls) == 2 * 97 + 15 + 1  # 15 blocks of at most 7 rounds
+    assert [source.alpha_at(j, 100, 58) for j in range(100)] == [
+        1.0 if rng_for(58, j // 7, TAG_BLOCK).random() < 0.3 else 0.05 for j in range(100)]
 
 
 def test_certification_attached_to_transcript():
