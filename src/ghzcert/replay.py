@@ -28,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -67,19 +67,22 @@ class Events:
 
 
 def _uint64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 array of the integers in [0, 2**64) (0 elsewhere), and where they are."""
+    """uint64 array of the integers in [0, 2**64) (0 elsewhere), and where they
+    are; a bool (JSON true/false) is no integer here."""
     column = np.fromiter(values, dtype=object, count=len(values))
-    ok = np.fromiter(map(isinstance, column, repeat(int)), dtype=bool, count=len(values))
+    ok = np.fromiter(map(type, column), dtype=object, count=len(values)) == int
     ok[ok] = (column[ok] >= 0) & (column[ok] < 2**64)
     return np.where(ok, column, 0).astype(np.uint64), ok
 
 
 def _quad_column(rows: list, allowed: tuple) -> tuple[np.ndarray, np.ndarray]:
     """int8 (n, 4) array of the four-entry lists with entries in ``allowed``
-    (0 elsewhere), and where they are."""
+    (0 elsewhere), and where they are; a bool entry equals 0 or 1 but is no entry."""
     ok = np.fromiter((type(r) is list and len(r) == 4 for r in rows), dtype=bool, count=len(rows))
     entries = np.fromiter(chain.from_iterable(compress(rows, ok)), dtype=object).reshape(-1, 4)
-    valid = ((entries == allowed[0]) | (entries == allowed[1])).all(axis=1)
+    not_bool = np.fromiter(map(type, entries.flat), dtype=object, count=entries.size) != bool
+    valid = (((entries == allowed[0]) | (entries == allowed[1]))
+             & not_bool.reshape(-1, 4)).all(axis=1)
     column = np.zeros((len(rows), 4), dtype=np.int8)
     column[np.flatnonzero(ok)[valid]] = entries[valid].astype(np.int8)
     ok[ok] = valid

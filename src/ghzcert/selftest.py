@@ -61,7 +61,9 @@ SEARCH_CHUNKS = 8
 SEARCH_CHUNK_ROWS = 2048
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
-#: the π/12 grid certificate; mermin's 0.1875 provably cannot pass it: at the
+#: the π/12 grid certificate, but baccari's fails off that grid: at
+#: (30.91°, 45°, 45°, 6.13°) its certificate's minimum eigenvalue is -1.85e-6.
+#: mermin's 0.1875 provably cannot pass the π/12 grid certificate: at the
 #: Jordan point (0, π/4, π/4, π/4) a biseparable state reaches violation 4√2
 #: with extractability at most 1/2, which forces s ≥ (2+√2)/16 ≈ 0.2134
 #: (the grid search here certifies 7/32)

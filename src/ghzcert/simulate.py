@@ -5,6 +5,10 @@ out, the rest are measured: each round draws a game input, samples the joint
 ±1 outcome tuple from the Born rule, and is scored by the win predicate. The
 resulting pass rate feeds the finite-sample inversion.
 
+Rounds are sampled in chunks from one Philox stream whose counter is the
+round index (see :func:`run_protocol`); only the hold-out and the block
+source's per-block flags use :func:`~ghzcert.rng.rng_for` Generators.
+
 Rounds live in one column table, :class:`Transcript`, which replay builds
 too; :func:`hold_out` is the one hold-out draw and :func:`certification_query`
 the one query built from a transcript, for simulated and recorded rounds alike.
@@ -24,14 +28,23 @@ import numpy as np
 from .bell import NonlocalGame, _validate_settings
 from .certification import CertificationQuery, CertificationReport, max_certified_extractability
 from .quantum import ghz_state, maximally_mixed
-from .rng import TAG_BLOCK, TAG_HOLDOUT, TAG_INPUT, TAG_OUTCOME, rng_for
+from .rng import TAG_BLOCK, TAG_HOLDOUT, TAG_ROUND, rng_for, round_words
 from .selftest import SelfTestBound
 
 PROBABILITY_FLOOR = 1e-12
+#: rounds sampled at once; bounds the sampler's temporaries and never changes a draw
+SIMULATE_CHUNK_ROUNDS = 16_384
+
+
+class _NoiseLaw:
+    """A source's noise fraction per round, given for a range of rounds at once."""
+
+    def alpha_at(self, index: int, n_rounds: int, seed: int) -> float:
+        return float(self.alphas(index, index + 1, n_rounds, seed)[0])
 
 
 @dataclass(frozen=True)
-class IIDNoisy:
+class IIDNoisy(_NoiseLaw):
     """Same white-noise state every round."""
 
     alpha: float
@@ -40,12 +53,12 @@ class IIDNoisy:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"noise fraction must be in [0, 1], got {self.alpha!r}")
 
-    def alpha_at(self, index: int, n_rounds: int, seed: int) -> float:
-        return self.alpha
+    def alphas(self, start: int, stop: int, n_rounds: int, seed: int) -> np.ndarray:
+        return np.full(stop - start, self.alpha)
 
 
 @dataclass(frozen=True)
-class Drifting:
+class Drifting(_NoiseLaw):
     """Noise fraction drifts linearly with the round index."""
 
     alpha_start: float
@@ -56,15 +69,15 @@ class Drifting:
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"noise fraction must be in [0, 1], got {a!r}")
 
-    def alpha_at(self, index: int, n_rounds: int, seed: int) -> float:
+    def alphas(self, start: int, stop: int, n_rounds: int, seed: int) -> np.ndarray:
         if n_rounds <= 1:
-            return self.alpha_start
-        frac = index / (n_rounds - 1)
+            return np.full(stop - start, self.alpha_start)
+        frac = np.arange(start, stop) / (n_rounds - 1)
         return self.alpha_start + (self.alpha_end - self.alpha_start) * frac
 
 
 @dataclass(frozen=True)
-class BlockCorrelated:
+class BlockCorrelated(_NoiseLaw):
     """Contiguous blocks share a noise level; a seeded fraction of blocks is bad."""
 
     alpha_good: float
@@ -81,9 +94,11 @@ class BlockCorrelated:
         if not 0.0 <= self.bad_fraction <= 1.0:
             raise ValueError(f"bad fraction must be in [0, 1], got {self.bad_fraction!r}")
 
-    def alpha_at(self, index: int, n_rounds: int, seed: int) -> float:
-        bad = _block_draw(seed, index // self.block_length) < self.bad_fraction
-        return self.alpha_bad if bad else self.alpha_good
+    def alphas(self, start: int, stop: int, n_rounds: int, seed: int) -> np.ndarray:
+        first, last = start // self.block_length, (stop - 1) // self.block_length
+        draws = np.array([_block_draw(seed, b) for b in range(first, last + 1)])
+        bad = draws[np.arange(start, stop) // self.block_length - first] < self.bad_fraction
+        return np.where(bad, self.alpha_bad, self.alpha_good)
 
 
 @lru_cache(maxsize=1)  # rounds come in order, so each block's draw is made once
@@ -201,6 +216,26 @@ def certification_query(
     )
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of 64-bit words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the first entry above each uniform ``u`` in its CDF row of ``cdf``.
+
+    A zero-probability index repeats the entry before it, so no uniform picks
+    it; a uniform at or past a row's rounded last entry picks the row's last
+    step, that is its last nonzero-probability index.
+    """
+    cdf = np.broadcast_to(cdf, (len(u), cdf.shape[-1]))
+    index = np.count_nonzero(cdf <= u[:, None], axis=1)
+    tail = np.flatnonzero(index == cdf.shape[1])
+    steps = np.diff(cdf[tail], prepend=0.0) > 0
+    index[tail] = cdf.shape[1] - 1 - np.argmax(steps[:, ::-1], axis=1)
+    return index
+
+
 def run_protocol(
     source: SourceModel,
     game: NonlocalGame,
@@ -213,44 +248,49 @@ def run_protocol(
 ) -> tuple[Transcript, CertificationReport | None]:
     """Run the full protocol: emit, hold out, measure, score, certify.
 
-    Round j draws its term and free settings from ``rng_for(seed, j, TAG_INPUT)``
-    and its outcome from ``rng_for(seed, j, TAG_OUTCOME)``; all rounds are then
-    scored at once. The certification report is produced when ``bound`` is
-    given; the transcript alone is returned otherwise. Identical (source, N,
-    N_c, seed) give bit-identical transcripts.
+    Round j's draws are the four words ``round_words(seed, TAG_ROUND, j, 1)``,
+    Philox counter j: word 0 picks the term (inverse CDF of the input
+    distribution), bit p of word 2 is party p's setting where the term leaves
+    party p free, word 1 picks the outcome (inverse CDF of the Born row at the
+    round's input and noise level α, whose CDF is (1-α)·CDF_GHZ + α·CDF_mixed)
+    and word 3 is unused. Uniforms are a word's top 53 bits. Held-out rounds get
+    their words too and are blanked afterwards, so a round's values depend on
+    neither the hold-out nor the chunk size. The certification report is
+    produced when ``bound`` is given; the transcript alone is returned
+    otherwise. Identical (source, N, N_c, seed) give bit-identical transcripts.
     """
     if not 1 <= n_cert < n_rounds:
         raise ValueError(f"need 1 <= n_cert < n_rounds, got {n_cert}, {n_rounds}")
     if settings is None:
         settings = game.functional.ideal_settings
 
-    table_ghz = outcome_table(ghz_state(4), settings).reshape(16, 16)
-    table_mixed = outcome_table(maximally_mixed(16), settings).reshape(16, 16)
+    cdf_ghz = np.cumsum(outcome_table(ghz_state(4), settings).reshape(16, 16), axis=1)
+    cdf_mixed = np.cumsum(outcome_table(maximally_mixed(16), settings).reshape(16, 16), axis=1)
     term_settings = [t.settings for t in game.functional.terms]
+    free = np.array([[s is None for s in t] for t in term_settings])
+    fixed = np.array([[s or 0 for s in t] for t in term_settings], dtype=np.uint64)
+    term_cdf = np.cumsum(game.input_distribution)
 
     held = hold_out(n_rounds, n_cert, rng_for(seed, 0, TAG_HOLDOUT))
-    measured = np.flatnonzero(~held)
-    draws = []  # (term, input code, outcome code) per measured round
-    table_alpha = None
-    for j in measured.tolist():
-        alpha = source.alpha_at(j, n_rounds, seed)
-        if alpha != table_alpha:  # rows of P(outcomes | input) at this noise level
-            table, table_alpha = (1.0 - alpha) * table_ghz + alpha * table_mixed, alpha
-        rng_in = rng_for(seed, j, TAG_INPUT)
-        term = int(rng_in.choice(len(term_settings), p=game.input_distribution))
-        code = 0
-        for setting in term_settings[term]:
-            code = 2 * code + (int(rng_in.integers(0, 2)) if setting is None else setting)
-        outcome = int(rng_for(seed, j, TAG_OUTCOME).choice(16, p=table[code]))
-        draws.append((term, code, outcome))
-    terms, codes, outcome_codes = np.array(draws, dtype=np.intp).reshape(-1, 3).T
-
     inputs = np.zeros((n_rounds, 4), dtype=np.int8)
     outcomes = np.zeros((n_rounds, 4), dtype=np.int8)
     won = np.zeros(n_rounds, dtype=bool)
-    inputs[measured] = _bits(codes)
-    outcomes[measured] = 1 - 2 * _bits(outcome_codes)  # bit 0 -> +1
-    won[measured] = game.won_terms(terms, outcomes[measured])
+    for lo in range(0, n_rounds, SIMULATE_CHUNK_ROUNDS):
+        hi = min(lo + SIMULATE_CHUNK_ROUNDS, n_rounds)
+        words = round_words(seed, TAG_ROUND, lo, hi - lo)
+        u = _uniforms(words[:, :2])
+        terms = _inverse_cdf(term_cdf, u[:, 0])
+        own = (words[:, 2:3] >> np.arange(4, dtype=np.uint64)) & np.uint64(1)
+        chosen = np.where(free[terms], own, fixed[terms])
+        codes = chosen @ np.array([8, 4, 2, 1], dtype=np.uint64)
+        alpha = source.alphas(lo, hi, n_rounds, seed)[:, None]
+        cdf = (1.0 - alpha) * cdf_ghz.take(codes, axis=0)  # the Born rows' CDFs
+        cdf += alpha * cdf_mixed.take(codes, axis=0)
+        inputs[lo:hi] = chosen
+        outcomes[lo:hi] = 1 - 2 * _bits(_inverse_cdf(cdf, u[:, 1]))  # bit 0 -> +1
+        won[lo:hi] = game.won_terms(terms, outcomes[lo:hi])
+    inputs[held] = outcomes[held] = 0
+    won[held] = False
     transcript = Transcript(inputs, outcomes, won, held, seed)
     if bound is None:
         return transcript, None

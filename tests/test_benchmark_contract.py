@@ -1,9 +1,9 @@
 """The benchmark under perfbench/ still imports, runs and accepts this package.
 
 perfbench drives the CLI and checks every output; these tests run its
-self-check, one replay pass and the block-source protocol call, so that a
-change breaking the benchmark's imports or checks fails here before a
-benchmark run.
+self-check, one replay pass and both protocol calls, so that a change
+breaking the benchmark's imports or checks fails here before a benchmark
+run.
 """
 
 import json
@@ -42,14 +42,23 @@ def test_replay_workload_outputs_pass_their_checks(tmp_path, capsys, monkeypatch
         prev = record
 
 
-def test_block_protocol_call_passes_its_check(tmp_path, capsys, monkeypatch):
-    """The 5e4-round block-source simulate call; its check re-reads the transcript."""
+def _protocol_call_problems(source, tmp_path, capsys, monkeypatch):
+    """Run the protocol workload's simulate call on ``source``; its check's problems."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    (call,) = [c for c in workloads.protocol_workload(1, tmp_path).calls if "block" in c.argv]
-    assert call.work == 50_000
+    (call,) = [c for c in workloads.protocol_workload(1, tmp_path).calls if source in c.argv]
     argv = [a.replace("{pass}", "test") for a in call.argv]
     code = dispatch(argv)
     record = {"argv": argv, "code": code, "stdout": capsys.readouterr().out, "error": None}
-    assert call.check(record) == []
+    return call.work, call.check(record)
+
+
+def test_block_protocol_call_passes_its_check(tmp_path, capsys, monkeypatch):
+    """The 5e4-round block-source simulate call; its check re-reads the transcript."""
+    assert _protocol_call_problems("block", tmp_path, capsys, monkeypatch) == (50_000, [])
+
+
+def test_iid_protocol_call_passes_its_check(tmp_path, capsys, monkeypatch):
+    """The 1e5-round IID simulate call; its check re-reads the transcript."""
+    assert _protocol_call_problems("iid", tmp_path, capsys, monkeypatch) == (100_000, [])

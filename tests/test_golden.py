@@ -20,15 +20,15 @@ SIMULATE_COMMON = ["--n", "200", "--nc", "3", "--seed", "4242", "--operator", "m
 # source flags -> (transcript digest, stdout digest)
 SIMULATE_GOLDEN = {
     "iid": (["--source", "iid", "--alpha", "0.1"],
-            "26bf840b097f0155851077fa3866a8c8ed4b2f102a06929278e81660214bd383",
-            "f9b228572faa83b1de8cd0aefca4aa8fc8ffe27ffa57f6a80de3ceb8fd239354"),
+            "07cdbc655d58e07e61697a732e8e1b08048db1751005fa68aab3061340f57698",
+            "80b6c15f8f625c6bd51b579f4ae497283429fe6956aef94c10fa45b0e109dd3c"),
     "drifting": (["--source", "drifting", "--alpha", "0.02", "--alpha-end", "0.4"],
-                 "9685d1d0c76a4c99918330ce820ec306e6bc3232a4bbcaf6fa8c7631f26b3875",
-                 "53f4328ac4d454eff0352dd2625d379e06deb9da60b20a07a50e0f9c98368d0f"),
+                 "9175c4a64b6987cfc916c8adaa9e9fc747937b41b9e766f83faae01d1f64e7d8",
+                 "2b21f2c8ac5e83a4a021a333bf33c5ca2b875cf6e2b1b5adf036cd1b2d340df6"),
     "block": (["--source", "block", "--alpha-good", "0.05", "--alpha-bad", "1.0",
                "--block-length", "7", "--bad-fraction", "0.3"],
-              "072c5def45d8d0be6c21c0a4ea67582575f2b5d2c11fb99f9759f46c4805e38b",
-              "bc2bb5f2f8e9601d91d82de07a1689f3e47a2fecc7dbe5d7eb7ad99b6aa5ea63"),
+              "52903592f19e85cf8c44cf7e2eb1124f49f1f4eebae6cfc0e6ba1b9f23f219c3",
+              "e27030a631234613464afb315c7276069c1657edc2775b34c7a363ef441a605c"),
 }
 
 EVENTS_DIGEST = "bba2fc9fe7ec4994fbf122732dc665c090851d61cb1169756625e851dd0ce05c"

@@ -83,6 +83,10 @@ def test_parse_rejects_decreasing_timestamps():
         {"window_id": 0, "t_ps": 0, "outcomes": list(WIN)},
         {"window_id": 2**64, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": list(WIN)},
         {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 2**64, "outcomes": list(WIN)},
+        {"window_id": True, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": list(WIN)},
+        {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": False, "outcomes": list(WIN)},
+        {"window_id": 0, "input": [True, 0, 0, 0], "t_ps": 0, "outcomes": list(WIN)},
+        {"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 0, "outcomes": [1, 1, True, 1]},
     ],
 )
 def test_parse_rejects_bad_fields(doc):

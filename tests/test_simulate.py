@@ -9,8 +9,8 @@ import pytest
 
 from ghzcert.bell import mermin_functional, to_game, zhao_functional
 from ghzcert.certification import operator_context
-from ghzcert.quantum import maximally_mixed, noisy_ghz
-from ghzcert.rng import TAG_BLOCK, TAG_INPUT, TAG_OUTCOME, rng_for
+from ghzcert.quantum import ghz_state, maximally_mixed, noisy_ghz
+from ghzcert.rng import TAG_BLOCK, TAG_ROUND, rng_for
 from ghzcert.simulate import (
     BlockCorrelated,
     Drifting,
@@ -94,16 +94,23 @@ def test_run_protocol_deterministic():
 
 
 def test_rounds_reproducible_out_of_order():
-    """Each measured round depends only on (seed, round index, purpose)."""
-    transcript, _ = run_protocol(IIDNoisy(0.3), MERMIN_GAME, n_rounds=50, n_cert=1, seed=77)
-    table = outcome_table(noisy_ghz(0.3), mermin_functional().ideal_settings)
+    """Each round depends only on its Philox counter: rebuilt one round at a time, last first."""
+    alpha = 0.3
+    transcript, _ = run_protocol(IIDNoisy(alpha), MERMIN_GAME, n_rounds=50, n_cert=1, seed=77)
+    settings = mermin_functional().ideal_settings
+    table_ghz = outcome_table(ghz_state(4), settings)
+    table_mixed = outcome_table(maximally_mixed(16), settings)
+    key = np.random.SeedSequence((77, TAG_ROUND)).generate_state(2, np.uint64)
     terms = MERMIN_GAME.functional.terms
+    term_cdf = np.cumsum(MERMIN_GAME.input_distribution)
     for j in reversed(np.flatnonzero(~transcript.held_out).tolist()):
-        rng_in = rng_for(77, j, TAG_INPUT)
-        term_index = int(rng_in.choice(len(terms), p=MERMIN_GAME.input_distribution))
-        inputs = tuple(int(rng_in.integers(0, 2)) if s is None else s
-                       for s in terms[term_index].settings)
-        outcome_index = int(rng_for(77, j, TAG_OUTCOME).choice(16, p=table[inputs].reshape(16)))
+        words = [int(w) for w in np.random.Philox(key=key).advance(j).random_raw(4)]
+        u_term, u_outcome = ((w >> 11) * 2.0**-53 for w in words[:2])
+        term_index = int(np.searchsorted(term_cdf, u_term, side="right"))
+        inputs = tuple((words[2] >> p) & 1 if s is None else s
+                       for p, s in enumerate(terms[term_index].settings))
+        row = ((1 - alpha) * table_ghz[inputs] + alpha * table_mixed[inputs]).reshape(16)
+        outcome_index = int(np.searchsorted(np.cumsum(row), u_outcome, side="right"))
         outcomes = tuple(1 - 2 * ((outcome_index >> (3 - p)) & 1) for p in range(4))
         assert inputs == tuple(transcript.inputs[j]) and outcomes == tuple(transcript.outcomes[j])
         assert MERMIN_GAME.won(term_index, outcomes) == transcript.won[j]
@@ -181,7 +188,7 @@ def test_block_correlated_caps_pass_rate():
 
 
 def test_block_source_builds_one_generator_per_block(monkeypatch):
-    """2 Generators per measured round, 1 per block and 1 for the hold-out."""
+    """1 Generator per block and 1 for the hold-out."""
     calls = []
 
     def counting_rng_for(*key):
@@ -192,9 +199,55 @@ def test_block_source_builds_one_generator_per_block(monkeypatch):
     run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)  # counted again below
     monkeypatch.setattr(SIMULATE_MODULE, "rng_for", counting_rng_for)
     run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)
-    assert len(calls) == 2 * 97 + 15 + 1  # 15 blocks of at most 7 rounds
+    assert len(calls) == 15 + 1  # 15 blocks of at most 7 rounds
     assert [source.alpha_at(j, 100, 58) for j in range(100)] == [
         1.0 if rng_for(58, j // 7, TAG_BLOCK).random() < 0.3 else 0.05 for j in range(100)]
+
+
+SOURCES = [IIDNoisy(0.2), Drifting(0.02, 0.4),
+           BlockCorrelated(alpha_good=0.05, alpha_bad=1.0, block_length=7, bad_fraction=0.3)]
+
+
+def scalar_alpha(source, j, n, seed):
+    """The noise law one round at a time, in Python floats."""
+    if isinstance(source, IIDNoisy):
+        return source.alpha
+    if isinstance(source, Drifting):
+        if n <= 1:
+            return source.alpha_start
+        return source.alpha_start + (source.alpha_end - source.alpha_start) * (j / (n - 1))
+    bad = rng_for(seed, j // source.block_length, TAG_BLOCK).random() < source.bad_fraction
+    return source.alpha_bad if bad else source.alpha_good
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=["iid", "drifting", "block"])
+def test_vectorized_alphas_equal_alpha_at(source):
+    for n in (1, 100):
+        expected = [scalar_alpha(source, j, n, 58) for j in range(n)]
+        assert [source.alpha_at(j, n, 58) for j in range(n)] == expected
+        assert source.alphas(0, n, n, 58).tolist() == expected
+        pieces = [source.alphas(lo, min(lo + 13, n), n, 58) for lo in range(0, n, 13)]
+        assert np.concatenate(pieces).tolist() == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("source", SOURCES, ids=["iid", "drifting", "block"])
+def test_transcript_independent_of_chunk_size(source, chunk, monkeypatch):
+    args = dict(n_rounds=60, n_cert=4, seed=12)
+    reference, _ = run_protocol(source, MERMIN_GAME, **args)
+    monkeypatch.setattr(SIMULATE_MODULE, "SIMULATE_CHUNK_ROUNDS", chunk)
+    assert run_protocol(source, MERMIN_GAME, **args)[0] == reference
+
+
+def test_top_uniform_never_picks_zero_probability_outcome():
+    top = SIMULATE_MODULE._uniforms(np.array([2**64 - 1], dtype=np.uint64))
+    assert top.tolist() == [1 - 2**-53]
+    pick = SIMULATE_MODULE._inverse_cdf
+    cdf = np.cumsum([[0.1] * 10 + [0.0] * 6], axis=1)  # rounded, it ends below 1
+    assert cdf[0, -1] < 1.0 and pick(cdf, top).tolist() == [9]
+    table = outcome_table(ghz_state(4), mermin_functional().ideal_settings).reshape(16, 16)
+    picks = pick(np.cumsum(table, axis=1), np.repeat(top, 16))
+    assert (table[np.arange(16), picks] > 0).all()
 
 
 def test_certification_attached_to_transcript():
