@@ -8,7 +8,6 @@ measurement settings that reach their quantum bounds on the GHZ state.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,9 +17,6 @@ import numpy as np
 from .quantum import I2, X, Z, Y, expectation, is_dichotomic, kron_all
 
 SQRT2 = math.sqrt(2.0)
-
-#: party (observable for input 0, observable for input 1) pairs
-SettingPair = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class BellFunctional:
     beta_q: float
     beta_c: float
     beta_alg: float
-    ideal_settings: tuple[SettingPair, ...] = field(repr=False)
+    ideal_settings: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     def __post_init__(self):
         if len(self.ideal_settings) != self.parties:
@@ -91,7 +87,7 @@ def _validate_settings(settings, parties: int) -> None:
                 raise ValueError("measurement settings must be ±1-valued observables")
 
 
-def term_operator(term: BellTerm, settings, parties: int) -> np.ndarray:
+def term_operator(term: BellTerm, settings) -> np.ndarray:
     """Tensor-product observable for one term, identity on uninvolved parties."""
     factors = [
         I2 if s is None else settings[p][s] for p, s in enumerate(term.settings)
@@ -106,7 +102,7 @@ def violation(rho: np.ndarray, functional: BellFunctional, settings=None) -> flo
     else:
         _validate_settings(settings, functional.parties)
     return sum(
-        t.coefficient * expectation(rho, term_operator(t, settings, functional.parties))
+        t.coefficient * expectation(rho, term_operator(t, settings))
         for t in functional.terms
     )
 
@@ -184,26 +180,6 @@ def pass_probability(rho: np.ndarray, game: NonlocalGame, settings=None) -> floa
     """Exact per-round winning probability, 1/2 + violation/(2·beta_alg)."""
     f = game.functional
     return 0.5 + violation(rho, f, settings) / (2.0 * f.beta_alg)
-
-
-def classical_bound(functional: BellFunctional) -> float:
-    """Maximum of the functional over all deterministic ±1 local strategies.
-
-    Exhaustive: every party deterministically assigns ±1 to each of its two
-    settings, 2^(2·parties) assignments in total.
-    """
-    parties = functional.parties
-    best = -math.inf
-    for assignment in itertools.product((-1, 1), repeat=2 * parties):
-        value = 0.0
-        for t in functional.terms:
-            prod = t.coefficient
-            for p, s in enumerate(t.settings):
-                if s is not None:
-                    prod *= assignment[2 * p + s]
-            value += prod
-        best = max(best, value)
-    return best
 
 
 def mermin_functional() -> BellFunctional:
@@ -300,36 +276,14 @@ def get_functional(name: str) -> BellFunctional:
         raise ValueError(f"unknown operator {name!r}; choose from {sorted(OPERATORS)}") from None
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in m]
-
-
 def _matrix_from_json(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def functional_to_json(functional: BellFunctional) -> str:
-    """Serialize a functional (terms, coefficients, bounds, settings) to JSON."""
-    doc = {
-        "name": functional.name,
-        "parties": functional.parties,
-        "terms": [
-            {"coefficient": t.coefficient, "settings": list(t.settings)}
-            for t in functional.terms
-        ],
-        "beta_q": functional.beta_q,
-        "beta_c": functional.beta_c,
-        "beta_alg": functional.beta_alg,
-        "ideal_settings": [
-            [_matrix_to_json(pair[0]), _matrix_to_json(pair[1])]
-            for pair in functional.ideal_settings
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
 def functional_from_json(text: str) -> BellFunctional:
-    """Inverse of :func:`functional_to_json`; a missing or malformed field raises ValueError."""
+    """Functional from its JSON object: name, parties, terms (coefficient and
+    settings), beta_q, beta_c, beta_alg and ideal_settings, matrices as rows of
+    [re, im] pairs. A missing or malformed field raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("functional JSON must be an object")

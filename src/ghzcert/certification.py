@@ -27,6 +27,8 @@ from .selftest import SelfTestBound, extractability_bound, published_bound
 # spec'd accuracy is 1e-6; bisect well past it so the N <-> eta round trip
 # stays exact at integer granularity even where d(delta)/d(eta) is steep
 ETA_TOL = 1e-12
+#: a pass rate above p_QM by at most this much is rounding, not an impossible rate
+EPSILON1_TOL = 1e-9
 
 
 def kl(p1: float, p2: float) -> float:
@@ -166,7 +168,6 @@ def min_samples(
     pass_rate: float,
     p_qm: float,
     bound: SelfTestBound,
-    epsilon1_tol: float = 1e-9,
 ) -> int:
     """Smallest N with confidence_bound(N, (N−1)/N, P, p_QM − c·η) ≤ δ.
 
@@ -181,7 +182,7 @@ def min_samples(
             f"epsilon2={epsilon2!r} must exceed epsilon1={epsilon1!r}; "
             "requested extractability is not reachable at this pass rate"
         )
-    if epsilon1 < -epsilon1_tol:
+    if epsilon1 < -EPSILON1_TOL:
         raise ValueError(f"pass rate {pass_rate!r} exceeds p_QM={p_qm!r}")
     p2 = p_qm - epsilon2
     divergence = kl(pass_rate, p2)
@@ -222,7 +223,6 @@ def sweep(
     delta: float = 0.01,
     eta: float = 0.25,
     pass_rate: float | None = None,
-    alpha_grid=None,
     n_grid=None,
 ) -> list[tuple[float, float, str]]:
     """Curve data (x, value, operator) for the standard comparison panels.
@@ -238,8 +238,7 @@ def sweep(
     rows: list[tuple[float, float, str]] = []
 
     if figure == "left":
-        grid = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
-        for a in grid:
+        for a in DEFAULT_ALPHA_GRID:
             p = pass_probability(noisy_ghz(float(a)), game)
             beta = (2.0 * p - 1.0) * functional.beta_alg
             rows.append((float(a), extractability_bound(beta, bound), operator))

@@ -21,8 +21,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bell import functional_from_json, get_functional, to_game
+from .bell import OPERATORS, functional_from_json, get_functional
 from .certification import (
+    SWEEP_FIGURES,
     CertificationQuery,
     max_certified_extractability,
     operator_context,
@@ -31,6 +32,7 @@ from .certification import (
 from .replay import parse_events, replay
 from .selftest import (
     DEFAULT_GRID_STEP,
+    DEFAULT_SLACK,
     BoundSearchError,
     bound_search,
     published_bound,
@@ -39,7 +41,7 @@ from .selftest import (
 from .simulate import BlockCorrelated, Drifting, IIDNoisy, run_protocol
 
 DEFAULT_SEED = 271828
-OPERATOR_CHOICES = ("mermin", "baccari", "zhao")
+OPERATOR_CHOICES = tuple(OPERATORS)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Jordan-angle grid step (must divide pi/2 evenly)")
     p_bound.add_argument("--s-tol", type=float, default=None,
                          help="ignored: the slope search is exact")
-    p_bound.add_argument("--slack", type=float, default=1e-9,
+    p_bound.add_argument("--slack", type=float, default=DEFAULT_SLACK,
                          help="allowed eigenvalue slack for grid feasibility")
     p_bound.add_argument("--refine", action="store_true",
                          help="refine locally around the worst grid points")
@@ -129,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="comparison curves as CSV")
-    p_sweep.add_argument("--figure", choices=("left", "middle", "right", "fig4"),
-                         required=True)
+    p_sweep.add_argument("--figure", choices=SWEEP_FIGURES, required=True)
     p_sweep.add_argument("--operator", choices=OPERATOR_CHOICES, default="mermin")
     p_sweep.add_argument("--alpha", type=float, default=0.05)
     p_sweep.add_argument("--delta", type=float, default=0.01)

@@ -1,6 +1,8 @@
 """Dense complex-matrix layer for few-qubit states and observables.
 
-Everything here is a plain ``numpy.ndarray`` plus validation helpers; the
+Everything here is a plain ``numpy.ndarray``: the Pauli matrices, the GHZ and
+white-noise states, Kronecker products, expectation values and the Hermitian
+and dichotomic checks that the Bell functionals apply to their settings. The
 dimensions in play are 2, 4, 8 and 16, so no sparsity or cleverness is
 needed. All functions are pure.
 """
@@ -12,9 +14,8 @@ from functools import reduce
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
+DICHOTOMIC_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,23 +25,9 @@ for _m in (I2, X, Y, Z):
     _m.setflags(write=False)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor as the most significant subsystem."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"kron expects square matrices, got shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"kron expects square matrices, got shape {b.shape}")
-    return np.kron(a, b)
-
-
 def kron_all(matrices) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence (party 1 leftmost)."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("kron_all needs at least one matrix")
-    return reduce(kron, mats)
+    """Left-to-right Kronecker product of a nonempty sequence (party 1 leftmost)."""
+    return reduce(np.kron, matrices)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -61,11 +48,6 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     if not is_hermitian(h, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-
-
-def min_eigenvalue(h: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eigenvalues(h, tol)[0])
 
 
 def ghz_vector(n_parties: int = 4) -> np.ndarray:
@@ -108,38 +90,11 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     return float(value.real)
 
 
-def fidelity(rho: np.ndarray, target_vector: np.ndarray) -> float:
-    """⟨ψ|ρ|ψ⟩ for a pure target |ψ⟩."""
-    v = np.asarray(target_vector, dtype=complex)
-    value = v.conj() @ np.asarray(rho, dtype=complex) @ v
-    return float(value.real)
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive semidefinite.
-
-    Returns the input unchanged so the check composes inline.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    smallest = min_eigenvalue(rho)
-    if smallest < eig_floor:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:g}")
-    return rho
-
-
-def is_dichotomic(obs: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when every eigenvalue of the observable is ±1 within ``tol``."""
+def is_dichotomic(obs: np.ndarray) -> bool:
+    """True when the observable is Hermitian and every eigenvalue is ±1, both
+    within ``DICHOTOMIC_TOL``."""
     try:
-        eigs = hermitian_eigenvalues(obs, tol=max(tol, HERMITICITY_TOL))
+        eigs = hermitian_eigenvalues(obs, tol=DICHOTOMIC_TOL)
     except ValueError:
         return False
-    return bool(np.max(np.abs(np.abs(eigs) - 1.0)) <= tol)
+    return bool(np.max(np.abs(np.abs(eigs) - 1.0)) <= DICHOTOMIC_TOL)

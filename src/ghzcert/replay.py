@@ -217,15 +217,15 @@ def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str =
         certification_query(transcript, game, bound, delta))
 
 
-def events_from_transcript(transcript: Transcript, window_span_ps: int = WINDOW_SPAN_PS) -> Events:
+def events_from_transcript(transcript: Transcript) -> Events:
     """Synthetic event file content from a simulated transcript: each measured
-    round becomes a window holding one event at its start (held-out rounds, never
-    measured, leave none)."""
+    round becomes a window of ``WINDOW_SPAN_PS`` holding one event at its start
+    (held-out rounds, never measured, leave none)."""
     measured = ~transcript.held_out
     n = int(np.count_nonzero(measured))
     return Events(
         window_id=np.arange(n, dtype=np.uint64),
-        t_ps=np.array([k * window_span_ps for k in range(n)], dtype=np.uint64),  # raises past 2**64
+        t_ps=np.array([k * WINDOW_SPAN_PS for k in range(n)], dtype=np.uint64),  # raises past 2**64
         inputs=transcript.inputs[measured],
         outcomes=transcript.outcomes[measured],
     )

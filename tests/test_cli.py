@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import ghzcert
-from ghzcert.bell import functional_to_json, mermin_functional
+from ghzcert.bell import mermin_functional
 from ghzcert.cli import build_parser, dispatch
+from reference import functional_to_json
 
 
 def run_cli(argv, capsys):
@@ -101,6 +102,11 @@ BAD_OPERATOR_FILES["five_settings"] = _mermin_with_first_term_settings([0, 0, 0,
         ["bound", "--operator-file", "{three_settings}"],
         ["bound", "--operator-file", "{five_settings}"],
         ["replay", "--input", "{empty}", "--delta", "5"],  # too few rounds to certify
+        ["bound", "--slack", "nan"],  # would make the verification vacuous
+        ["bound", "--slack", "inf"],
+        ["bound", "--slack", "-1"],
+        ["bound", "--threads", "0"],
+        ["bound", "--threads", "-3"],
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
@@ -176,8 +182,6 @@ def test_bound_smoke_grid_record(capsys):
 
 
 def test_bound_accepts_functional_file(tmp_path, capsys):
-    from ghzcert.bell import functional_to_json, mermin_functional
-
     path = tmp_path / "operator.json"
     path.write_text(functional_to_json(mermin_functional()))
     code, out = run_cli(
