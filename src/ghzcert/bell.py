@@ -32,7 +32,7 @@ class BellTerm:
         if all(s is None for s in self.settings):
             raise ValueError("term must involve at least one party")
         for s in self.settings:
-            if s not in (0, 1, None):
+            if isinstance(s, bool) or s not in (0, 1, None):
                 raise ValueError(f"setting index must be 0, 1 or None, got {s!r}")
 
     @property
@@ -95,14 +95,10 @@ def term_operator(term: BellTerm, settings) -> np.ndarray:
     return kron_all(factors)
 
 
-def violation(rho: np.ndarray, functional: BellFunctional, settings=None) -> float:
-    """Value of the functional on a state: Σ_k c_k·Tr(ρ·O_k)."""
-    if settings is None:
-        settings = functional.ideal_settings
-    else:
-        _validate_settings(settings, functional.parties)
+def violation(rho: np.ndarray, functional: BellFunctional) -> float:
+    """Value of the functional on a state at its ideal settings: Σ_k c_k·Tr(ρ·O_k)."""
     return sum(
-        t.coefficient * expectation(rho, term_operator(t, settings))
+        t.coefficient * expectation(rho, term_operator(t, functional.ideal_settings))
         for t in functional.terms
     )
 
@@ -176,10 +172,11 @@ def to_game(functional: BellFunctional) -> NonlocalGame:
     return NonlocalGame(functional=functional, input_distribution=dist, p_qm=p_qm)
 
 
-def pass_probability(rho: np.ndarray, game: NonlocalGame, settings=None) -> float:
-    """Exact per-round winning probability, 1/2 + violation/(2·beta_alg)."""
+def pass_probability(rho: np.ndarray, game: NonlocalGame) -> float:
+    """Exact per-round winning probability at the ideal settings,
+    1/2 + violation/(2·beta_alg)."""
     f = game.functional
-    return 0.5 + violation(rho, f, settings) / (2.0 * f.beta_alg)
+    return 0.5 + violation(rho, f) / (2.0 * f.beta_alg)
 
 
 def mermin_functional() -> BellFunctional:
@@ -276,33 +273,49 @@ def get_functional(name: str) -> BellFunctional:
         raise ValueError(f"unknown operator {name!r}; choose from {sorted(OPERATORS)}") from None
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; bools, strings, NaN and infinities are not numbers."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"functional JSON field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return np.array([
+        [complex(_number(re, "ideal_settings"), _number(im, "ideal_settings")) for re, im in row]
+        for row in rows
+    ])
 
 
 def functional_from_json(text: str) -> BellFunctional:
-    """Functional from its JSON object: name, parties, terms (coefficient and
-    settings), beta_q, beta_c, beta_alg and ideal_settings, matrices as rows of
-    [re, im] pairs. A missing or malformed field raises ValueError."""
+    """Functional from its JSON object: a string name, an integer parties, terms
+    (finite coefficient, settings of 0, 1 or null), finite beta_q, beta_c and
+    beta_alg, and ideal_settings, matrices as rows of finite [re, im] pairs. A
+    missing field or one of the wrong JSON type raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("functional JSON must be an object")
     try:
+        name, parties = doc["name"], doc["parties"]
+        if not isinstance(name, str) or type(parties) is not int:
+            raise ValueError("functional JSON needs a string name and an integer parties, "
+                             f"got {name!r} and {parties!r}")
         terms = tuple(
-            BellTerm(float(t["coefficient"]), tuple(t["settings"])) for t in doc["terms"]
+            BellTerm(_number(t["coefficient"], "coefficient"), tuple(t["settings"]))
+            for t in doc["terms"]
         )
         settings = tuple(
             (_matrix_from_json(p0), _matrix_from_json(p1))
             for p0, p1 in doc["ideal_settings"]
         )
         return BellFunctional(
-            name=doc["name"],
-            parties=int(doc["parties"]),
+            name=name,
+            parties=parties,
             terms=terms,
-            beta_q=float(doc["beta_q"]),
-            beta_c=float(doc["beta_c"]),
-            beta_alg=float(doc["beta_alg"]),
+            beta_q=_number(doc["beta_q"], "beta_q"),
+            beta_c=_number(doc["beta_c"], "beta_c"),
+            beta_alg=_number(doc["beta_alg"], "beta_alg"),
             ideal_settings=settings,
         )
-    except (KeyError, TypeError) as exc:  # a field that is missing or of the wrong JSON type
+    except (KeyError, TypeError, OverflowError) as exc:  # missing, wrong container, huge int
         raise ValueError(f"functional JSON has a missing or malformed field ({exc})") from None

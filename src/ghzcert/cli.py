@@ -29,7 +29,7 @@ from .certification import (
     operator_context,
     sweep,
 )
-from .replay import parse_events, replay
+from .replay import MODES, parse_events, replay
 from .selftest import (
     DEFAULT_GRID_STEP,
     DEFAULT_SLACK,
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="replay a JSONL event file")
     p_replay.add_argument("--input", required=True, help="event file (JSONL)")
-    p_replay.add_argument("--mode", choices=("strict", "decomposed"), default="strict")
+    p_replay.add_argument("--mode", choices=MODES, default="strict")
     p_replay.add_argument("--operator", choices=OPERATOR_CHOICES, default="mermin")
     p_replay.add_argument("--delta", type=float, default=0.01)
     add_common(p_replay)
@@ -172,10 +172,10 @@ def _cmd_bound(args) -> int:
         "s": result.bound.s,
         "mu": result.bound.mu,
         "c": result.bound.c,
-        "grid_step": result.grid_step,
-        "worst_point": list(result.worst_point.angles),
+        "grid_step": step,
+        "worst_point": list(result.worst_point),
         "min_eig": result.min_eig,
-        "refined": result.refined,
+        "refined": args.refine,
     }
     _emit(_json(record), args.out)
     return 0

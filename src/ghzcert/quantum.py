@@ -1,10 +1,10 @@
 """Dense complex-matrix layer for few-qubit states and observables.
 
-Everything here is a plain ``numpy.ndarray``: the Pauli matrices, the GHZ and
-white-noise states, Kronecker products, expectation values and the Hermitian
-and dichotomic checks that the Bell functionals apply to their settings. The
-dimensions in play are 2, 4, 8 and 16, so no sparsity or cleverness is
-needed. All functions are pure.
+Everything here is a plain ``numpy.ndarray``: the Pauli matrices, the 4-qubit
+GHZ and white-noise states, Kronecker products, expectation values and the
+Hermitian and dichotomic checks that the Bell functionals apply to their
+settings. The dimensions in play are 2, 4, 8 and 16, so no sparsity or
+cleverness is needed. All functions are pure.
 """
 
 from __future__ import annotations
@@ -50,19 +50,16 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
 
 
-def ghz_vector(n_parties: int = 4) -> np.ndarray:
-    """State vector (|0…0⟩ + |1…1⟩)/√2 on ``n_parties`` qubits."""
-    if n_parties < 2:
-        raise ValueError(f"GHZ state needs at least 2 parties, got {n_parties}")
-    dim = 2**n_parties
-    v = np.zeros(dim, dtype=complex)
+def ghz_vector() -> np.ndarray:
+    """State vector (|0000⟩ + |1111⟩)/√2 of the 4-qubit GHZ state."""
+    v = np.zeros(16, dtype=complex)
     v[0] = v[-1] = 1 / np.sqrt(2)
     return v
 
 
-def ghz_state(n_parties: int = 4) -> np.ndarray:
-    """Density matrix of the pure ``n_parties``-qubit GHZ state."""
-    v = ghz_vector(n_parties)
+def ghz_state() -> np.ndarray:
+    """Density matrix of the pure 4-qubit GHZ state."""
+    v = ghz_vector()
     return np.outer(v, v.conj())
 
 
@@ -70,12 +67,11 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-def noisy_ghz(alpha: float, n_parties: int = 4) -> np.ndarray:
-    """Convex mixture (1−α)·GHZ + α·𝟙/2^n of the GHZ state with white noise."""
+def noisy_ghz(alpha: float) -> np.ndarray:
+    """Convex mixture (1−α)·GHZ + α·𝟙/16 of the 4-qubit GHZ state with white noise."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"noise fraction must be in [0, 1], got {alpha}")
-    dim = 2**n_parties
-    return (1.0 - alpha) * ghz_state(n_parties) + alpha * maximally_mixed(dim)
+    return (1.0 - alpha) * ghz_state() + alpha * maximally_mixed(16)
 
 
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:

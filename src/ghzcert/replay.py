@@ -41,6 +41,7 @@ from .simulate import Transcript, certification_query, hold_out
 WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
 PARSE_CHUNK_LINES = 16_384  # lines decoded and turned into arrays at a time
 FIELDS = ("window_id", "input", "t_ps", "outcomes")
+MODES = ("strict", "decomposed")
 _FIELD_SET = frozenset(FIELDS)
 _UINT = r"(?:0|[1-9][0-9]{0,17})"  # below 10**18, so it fits int64
 _CANONICAL = re.compile(  # one line of events_to_jsonl, every value already in range
@@ -202,8 +203,8 @@ def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str =
     """Full replay: rounds from events, hold-out, pass rate, certification.
 
     With fewer than 2 rounds nothing is measured and the report is None."""
-    if mode not in ("strict", "decomposed"):
-        raise ValueError(f"unknown mode {mode!r}; choose strict or decomposed")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     check_delta(delta)
     rows, won = (strict_select if mode == "strict" else decomposed)(events, game, seed)
     n = len(rows)

@@ -23,8 +23,8 @@ it by (p, q·[branch = +1], q·[branch = −1]). Each operator is therefore the
 operators (``certificate_operators``): one real matrix product per batch.
 
 Grid certification is necessary-only evidence for the continuum inequality;
-results carry the grid step, the worst grid point and an optional locally
-refined minimum so that status stays explicit.
+results carry the worst grid point and its minimum eigenvalue, optionally
+lowered by a local refinement, so that status stays explicit.
 """
 
 from __future__ import annotations
@@ -76,28 +76,6 @@ ROBUSTNESS_CONSTANTS = {
 
 class BoundSearchError(RuntimeError):
     """Raised when no slope in [0, 1] passes the grid certificate."""
-
-
-@dataclass(frozen=True)
-class JordanPoint:
-    """One Jordan angle per party, each in [0, π/2].
-
-    ``branches`` selects the dephasing direction of each party's extraction
-    channel (+1 → σ₊, −1 → σ₋). The distinction only matters exactly at π/4,
-    where the channel family is piecewise-defined.
-    """
-
-    angles: tuple[float, ...]
-    branches: tuple[int, ...]
-
-    def __post_init__(self):
-        for a in self.angles:
-            if not 0.0 <= a <= HALF_PI:
-                raise ValueError(f"Jordan angle {a!r} outside [0, pi/2]")
-        if len(self.branches) != len(self.angles):
-            raise ValueError("one branch per angle required")
-        if any(b not in (-1, 1) for b in self.branches):
-            raise ValueError("branches must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -198,7 +176,7 @@ def _certificate_tables(functional: BellFunctional) -> tuple[np.ndarray, np.ndar
     select[:, 0] *= np.array([t.coefficient for t in functional.terms])[:, None]
     b_table = _kron_table(select[..., None, None] * basis)
     e_table = _kron_table(basis[None])
-    k_table = e_table @ ghz_state(4) @ e_table
+    k_table = e_table @ ghz_state() @ e_table
     return tuple(t.reshape(81, 256).view(float) for t in (k_table, b_table))
 
 
@@ -436,7 +414,6 @@ class GridEvaluation:
     """Deterministic reduction of a grid pass: worst value and worst points."""
 
     min_eig: float
-    worst_point: JordanPoint
     worst_nodes: tuple  # (value, node-index-tuple) pairs, ascending
 
 
@@ -448,21 +425,14 @@ def evaluate_grid(s: float, grid: Grid, keep_worst: int = 1) -> GridEvaluation:
     """
     chunk_results = grid.map_chunks(_eval_chunk, s, keep_worst)
     merged = sorted(pair for chunk in chunk_results for pair in chunk)[:keep_worst]
-    min_eig, worst_idx = merged[0]
-    worst = JordanPoint(
-        angles=tuple(float(grid.node_angles[i]) for i in worst_idx),
-        branches=tuple(int(grid.node_branches[i]) for i in worst_idx),
-    )
-    return GridEvaluation(min_eig=min_eig, worst_point=worst, worst_nodes=tuple(merged))
+    return GridEvaluation(min_eig=merged[0][0], worst_nodes=tuple(merged))
 
 
 @dataclass(frozen=True)
 class BoundSearchResult:
     bound: SelfTestBound
-    grid_step: float
-    worst_point: JordanPoint
+    worst_point: tuple[float, ...]  # one Jordan angle per party
     min_eig: float
-    refined: bool
 
 
 def _refine_minimum(
@@ -472,7 +442,7 @@ def _refine_minimum(
     node_angles: np.ndarray,
     node_branches: np.ndarray,
     grid_step: float,
-) -> tuple[float, JordanPoint]:
+) -> tuple[float, tuple[float, ...]]:
     """Local (step/4) sub-grid search around the worst coarse points."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
     best_val = math.inf
@@ -489,10 +459,7 @@ def _refine_minimum(
         i = int(np.argmin(values))
         if values[i] < best_val:
             best_val = float(values[i])
-            best_point = JordanPoint(
-                angles=tuple(float(a) for a in local[i]),
-                branches=tuple(int(b) for b in branches[i]),
-            )
+            best_point = tuple(float(a) for a in local[i])
     return best_val, best_point
 
 
@@ -530,7 +497,8 @@ def bound_search(
             f"threshold slope {s!r} fails the grid certificate "
             f"(minimum eigenvalue {final.min_eig!r} below -{slack!r})"
         )
-    min_eig, worst = final.min_eig, final.worst_point
+    min_eig = final.min_eig
+    worst = tuple(float(grid.node_angles[i]) for i in final.worst_nodes[0][1])
     if refine:
         refined_val, refined_point = _refine_minimum(
             s, functional, final.worst_nodes, grid.node_angles, grid.node_branches, grid_step
@@ -538,9 +506,5 @@ def bound_search(
         if refined_val < min_eig:
             min_eig, worst = refined_val, refined_point
     return BoundSearchResult(
-        bound=SelfTestBound.from_slope(s, functional),
-        grid_step=grid_step,
-        worst_point=worst,
-        min_eig=min_eig,
-        refined=refine,
+        bound=SelfTestBound.from_slope(s, functional), worst_point=worst, min_eig=min_eig
     )

@@ -259,7 +259,7 @@ def run_protocol(
         raise ValueError(f"need 1 <= n_cert < n_rounds, got {n_cert}, {n_rounds}")
     settings = game.functional.ideal_settings
 
-    cdf_ghz = np.cumsum(outcome_table(ghz_state(4), settings).reshape(16, 16), axis=1)
+    cdf_ghz = np.cumsum(outcome_table(ghz_state(), settings).reshape(16, 16), axis=1)
     cdf_mixed = np.cumsum(outcome_table(maximally_mixed(16), settings).reshape(16, 16), axis=1)
     term_settings = [t.settings for t in game.functional.terms]
     free = np.array([[s is None for s in t] for t in term_settings])

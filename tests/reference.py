@@ -4,8 +4,9 @@ The package assembles the self-testing certificate in batches
 (``certificate_operators``). The scalar forms here follow Kaniewski's channel
 family (PRL 117, 070402, 2016) one Jordan angle and one party at a time, so
 the tests can check the batched assembly against a second derivation. The
-density-matrix check, the exhaustive classical bound and the functional
-writer serve the tests alone; no pipeline calls them.
+violation at arbitrary settings, the density-matrix check, the exhaustive
+classical bound and the functional writer serve the tests alone; no pipeline
+calls them.
 """
 
 import itertools
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from ghzcert.bell import BellFunctional
-from ghzcert.quantum import hermitian_eigenvalues, is_hermitian
+from ghzcert.bell import BellFunctional, _validate_settings, term_operator
+from ghzcert.quantum import expectation, hermitian_eigenvalues, is_hermitian
 from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
@@ -81,6 +82,14 @@ def _evaluate(s: float, functional: BellFunctional, step: float, threads: int):
     """One :func:`evaluate_grid` pass at slope ``s`` on a grid opened for it."""
     with open_grid(functional, step, threads) as grid:
         return evaluate_grid(s, grid)
+
+
+def violation_at(rho: np.ndarray, functional: BellFunctional, settings) -> float:
+    """Σ_k c_k·Tr(ρ·O_k) with one (input-0, input-1) dichotomic pair per party."""
+    _validate_settings(settings, functional.parties)
+    return sum(
+        t.coefficient * expectation(rho, term_operator(t, settings)) for t in functional.terms
+    )
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:

@@ -275,7 +275,7 @@ def test_criterion_9_property_suites():
     dm_ok = True
     for alpha in rng.uniform(0, 1, size=1000):
         check_density_matrix(noisy_ghz(float(alpha)))
-    check_density_matrix(ghz_state(4))
+    check_density_matrix(ghz_state())
     check_density_matrix(maximally_mixed(16))
 
     # determinism under varying worker counts

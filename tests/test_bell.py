@@ -25,7 +25,7 @@ from ghzcert.quantum import (
     maximally_mixed,
     noisy_ghz,
 )
-from reference import classical_bound, functional_to_json
+from reference import classical_bound, functional_to_json, violation_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,7 +49,7 @@ def test_declared_bounds(factory, beta_q, beta_c, beta_alg, n_terms):
 @pytest.mark.parametrize("factory,beta_q,beta_c,beta_alg,n_terms", ALL)
 def test_ideal_settings_reach_quantum_bound(factory, beta_q, beta_c, beta_alg, n_terms):
     f = factory()
-    assert violation(ghz_state(4), f) == pytest.approx(beta_q, abs=1e-9)
+    assert violation(ghz_state(), f) == pytest.approx(beta_q, abs=1e-9)
 
 
 @pytest.mark.parametrize("factory,beta_q,beta_c,beta_alg,n_terms", ALL)
@@ -80,7 +80,7 @@ def test_classical_bound_by_exhaustion(factory, beta_q, beta_c, beta_alg, n_term
 def test_mermin_terms_are_ghz_eigenstates():
     """Every Mermin term has expectation exactly ±1 on the GHZ state."""
     f = mermin_functional()
-    rho = ghz_state(4)
+    rho = ghz_state()
     for term in f.terms:
         value = expectation(rho, term_operator(term, f.ideal_settings))
         assert value == pytest.approx(term.sign, abs=1e-10)
@@ -109,7 +109,7 @@ def test_game_input_distribution_proportional_to_coefficients():
 
 def test_pass_probability_values():
     game = to_game(mermin_functional())
-    assert pass_probability(ghz_state(4), game) == pytest.approx(1.0, abs=1e-10)
+    assert pass_probability(ghz_state(), game) == pytest.approx(1.0, abs=1e-10)
     assert pass_probability(maximally_mixed(16), game) == pytest.approx(0.5, abs=1e-12)
     # oracle: 1/2 + 7.6/16
     assert pass_probability(noisy_ghz(0.05), game) == pytest.approx(0.975, abs=1e-10)
@@ -198,9 +198,10 @@ def test_violation_bounded_by_algebraic(factory, beta_q, beta_c, beta_alg, n_ter
         settings = tuple(
             (_random_dichotomic(rng), _random_dichotomic(rng)) for _ in range(4)
         )
-        value = violation(rho, f, settings)
+        value = violation_at(rho, f, settings)
         assert abs(value) <= beta_alg + 1e-9
-        p = pass_probability(rho, game, settings)
+        assert violation_at(rho, f, f.ideal_settings) == pytest.approx(violation(rho, f), abs=1e-12)
+        p = pass_probability(rho, game)
         assert -1e-12 <= p <= 1 + 1e-12
 
 
@@ -208,7 +209,7 @@ def test_violation_rejects_non_dichotomic():
     f = mermin_functional()
     bad = tuple((0.5 * Z, Z) if p == 0 else (Z, Z) for p in range(4))
     with pytest.raises(ValueError):
-        violation(ghz_state(4), f, bad)
+        violation_at(ghz_state(), f, bad)
 
 
 def test_term_validation():
@@ -218,6 +219,8 @@ def test_term_validation():
         BellTerm(1.0, (None, None, None, None))
     with pytest.raises(ValueError):
         BellTerm(1.0, (2, 0, 0, 0))
+    with pytest.raises(ValueError, match="got True"):
+        BellTerm(1.0, (True, 0, 0, 0))
 
 
 @pytest.mark.parametrize("settings", [[0, 0, 0], [0, 0, 0, 0, 0]])
@@ -242,4 +245,4 @@ def test_json_round_trip(factory, beta_q, beta_c, beta_alg, n_terms):
     back = functional_from_json(text)
     assert back.terms == f.terms
     assert back.beta_q == f.beta_q and back.beta_c == f.beta_c and back.beta_alg == f.beta_alg
-    assert violation(ghz_state(4), back) == pytest.approx(beta_q, abs=1e-9)
+    assert violation(ghz_state(), back) == pytest.approx(beta_q, abs=1e-9)

@@ -7,11 +7,16 @@ run.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import ghzcert.cli
+from ghzcert.certification import operator_context
 from ghzcert.cli import dispatch
+from ghzcert.replay import MODES, events_from_transcript, events_to_jsonl
+from ghzcert.simulate import IIDNoisy, run_protocol
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +80,36 @@ def test_perfbench_hooks_resolve(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_pipelines_call_every_hook(tmp_path, capsys, monkeypatch):
+    """Each function perfbench's tracer wraps is called by one of the CLI paths
+    the benchmark runs, so no per-layer metric is computed from an empty span.
+
+    ``bell.won`` is the exception: it hooks ``NonlocalGame.won``, which no
+    pipeline calls (scoring goes through ``won_terms``), so the metric derived
+    from it reads 0.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    _, game, bound = operator_context("mermin")
+    transcript, _ = run_protocol(IIDNoisy(alpha=0.05), game, bound=bound, n_rounds=500, seed=3)
+    events = tmp_path / "events.jsonl"
+    events.write_text(events_to_jsonl(events_from_transcript(transcript)))
+    calls = [
+        ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 12)],
+        ["simulate", "--n", "2000", "--out", str(tmp_path / "transcript.jsonl")],
+        *(["replay", "--input", str(events), "--mode", mode] for mode in MODES),
+        ["sweep", "--figure", "fig4", "--pass-rate", "0.97"],
+    ]
+    tracer = spans.Tracer()
+    tracer.install("pipelines")
+    try:
+        codes = [ghzcert.cli.dispatch(argv) for argv in calls]  # the traced dispatch
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(calls)
+    called = {tracer.names[i] for i in tracer.name_id}
+    assert {name for _, _, name, _ in spans.HOOKS} - called == {"bell.won"}

@@ -76,14 +76,34 @@ BAD_OPERATOR_FILES = {
 }
 
 
-def _mermin_with_first_term_settings(settings) -> str:
+def _mermin_with(path, value) -> str:
+    """Mermin's JSON with the entry at ``path`` (keys and indices) set to ``value``."""
     doc = json.loads(functional_to_json(mermin_functional()))
-    doc["terms"][0]["settings"] = settings
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
     return json.dumps(doc)
 
 
-BAD_OPERATOR_FILES["three_settings"] = _mermin_with_first_term_settings([0, 0, 0])
-BAD_OPERATOR_FILES["five_settings"] = _mermin_with_first_term_settings([0, 0, 0, 0, 0])
+BAD_OPERATOR_FILES["three_settings"] = _mermin_with(["terms", 0, "settings"], [0, 0, 0])
+BAD_OPERATOR_FILES["five_settings"] = _mermin_with(["terms", 0, "settings"], [0, 0, 0, 0, 0])
+# wrong JSON types that a lax reader would take for numbers: true as 1, "8" as 8, 4.9 as 4
+BAD_OPERATOR_FILES["bool_settings"] = _mermin_with(
+    ["terms", 0, "settings"], [True, False, False, False])
+BAD_OPERATOR_FILES["string_beta_q"] = _mermin_with(["beta_q"], "8")
+BAD_OPERATOR_FILES["bool_beta_c"] = _mermin_with(["beta_c"], True)
+BAD_OPERATOR_FILES["float_parties"] = _mermin_with(["parties"], 4.9)
+BAD_OPERATOR_FILES["number_name"] = _mermin_with(["name"], 5)
+BAD_OPERATOR_FILES["string_coefficient"] = _mermin_with(["terms", 0, "coefficient"], "1")
+BAD_OPERATOR_FILES["bool_coefficient"] = _mermin_with(["terms", 0, "coefficient"], True)
+BAD_OPERATOR_FILES["string_matrix_entry"] = _mermin_with(["ideal_settings", 0, 0, 0, 1], ["1", 0])
+BAD_OPERATOR_FILES["bool_matrix_entry"] = _mermin_with(["ideal_settings", 0, 0, 0, 1], [True, 0])
+BAD_OPERATOR_FILES["huge_coefficient"] = _mermin_with(["terms", 0, "coefficient"], 10**400)
+# json.loads reads Infinity; with beta_alg infinite too, only the eigensolver would object
+BAD_OPERATOR_FILES["infinite_coefficient"] = _mermin_with(["beta_alg"], math.inf).replace(
+    '"coefficient": 1.0', '"coefficient": Infinity', 1)
 
 
 @pytest.mark.parametrize(
@@ -101,6 +121,17 @@ BAD_OPERATOR_FILES["five_settings"] = _mermin_with_first_term_settings([0, 0, 0,
         ["bound", "--operator-file", "{bad_ideal_settings}"],
         ["bound", "--operator-file", "{three_settings}"],
         ["bound", "--operator-file", "{five_settings}"],
+        ["bound", "--operator-file", "{bool_settings}"],
+        ["bound", "--operator-file", "{string_beta_q}"],
+        ["bound", "--operator-file", "{bool_beta_c}"],
+        ["bound", "--operator-file", "{float_parties}"],
+        ["bound", "--operator-file", "{number_name}"],
+        ["bound", "--operator-file", "{string_coefficient}"],
+        ["bound", "--operator-file", "{bool_coefficient}"],
+        ["bound", "--operator-file", "{string_matrix_entry}"],
+        ["bound", "--operator-file", "{bool_matrix_entry}"],
+        ["bound", "--operator-file", "{huge_coefficient}"],
+        ["bound", "--operator-file", "{infinite_coefficient}"],
         ["replay", "--input", "{empty}", "--delta", "5"],  # too few rounds to certify
         ["bound", "--slack", "nan"],  # would make the verification vacuous
         ["bound", "--slack", "inf"],
@@ -179,6 +210,22 @@ def test_bound_smoke_grid_record(capsys):
     assert doc["mu"] == pytest.approx(1 - 8 * doc["s"], abs=1e-12)
     assert len(doc["worst_point"]) == 4
     assert doc["refined"] is False
+
+
+def test_bound_refine_keeps_slope_and_lowers_minimum(capsys):
+    """``--refine`` adds a local sub-grid search around the worst grid points:
+    same keys and slope as the plain run, a minimum no higher, a point on the box."""
+    argv = ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 8)]
+    _, plain_out = run_cli(argv, capsys)
+    code, out = run_cli(argv + ["--refine"], capsys)
+    assert code == 0
+    plain, refined = json.loads(plain_out), json.loads(out)
+    assert list(refined) == list(plain)
+    assert refined["refined"] is True
+    assert refined["s"] == plain["s"]
+    assert len(refined["worst_point"]) == 4
+    assert all(0.0 <= a <= math.pi / 2 for a in refined["worst_point"])
+    assert refined["min_eig"] <= plain["min_eig"]
 
 
 def test_bound_accepts_functional_file(tmp_path, capsys):

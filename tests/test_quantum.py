@@ -98,16 +98,11 @@ def test_min_eigenvalue_rejects_nonhermitian():
 
 
 def test_ghz_trace_one():
-    assert np.trace(ghz_state(4)).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ghz_rejects_single_party():
-    with pytest.raises(ValueError):
-        ghz_state(1)
+    assert np.trace(ghz_state()).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ghz_stabilizer_expectations():
-    rho = ghz_state(4)
+    rho = ghz_state()
     assert expectation(rho, kron_all([X, X, X, X])) == pytest.approx(1.0, abs=1e-10)
     assert expectation(rho, kron_all([Z, Z, I2, I2])) == pytest.approx(1.0, abs=1e-10)
 
@@ -117,23 +112,23 @@ def test_ghz_yyxx_expectation():
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     op = np.kron(np.kron(y, y), np.kron(x, x))
-    oracle = np.trace(ghz_state(4) @ op).real
+    oracle = np.trace(ghz_state() @ op).real
     assert oracle == pytest.approx(-1.0, abs=1e-12)
-    assert expectation(ghz_state(4), kron_all([Y, Y, X, X])) == pytest.approx(oracle, abs=1e-12)
+    assert expectation(ghz_state(), kron_all([Y, Y, X, X])) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_noisy_ghz_endpoints():
-    assert np.allclose(noisy_ghz(0.0), ghz_state(4), atol=1e-14)
+    assert np.allclose(noisy_ghz(0.0), ghz_state(), atol=1e-14)
     assert np.allclose(noisy_ghz(1.0), maximally_mixed(16), atol=1e-14)
 
 
 def test_noisy_ghz_fidelity():
     # oracle: <GHZ|rho|GHZ> = (1-a) + a/16 by direct inner product
     alpha = 0.05
-    v = ghz_vector(4)
+    v = ghz_vector()
     oracle = float((v.conj() @ noisy_ghz(alpha) @ v).real)
     assert oracle == pytest.approx(0.953125, abs=1e-12)
-    assert expectation(noisy_ghz(alpha), ghz_state(4)) == pytest.approx(oracle, abs=1e-14)
+    assert expectation(noisy_ghz(alpha), ghz_state()) == pytest.approx(oracle, abs=1e-14)
 
 
 def test_noisy_ghz_rejects_out_of_range():
@@ -156,7 +151,7 @@ def test_expectation_noisy_linear_in_alpha():
 
 def test_expectation_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        expectation(ghz_state(4), Z)
+        expectation(ghz_state(), Z)
 
 
 def test_expectation_bilinear():
@@ -188,7 +183,7 @@ def test_min_eigenvalue_below_rayleigh_quotients():
 
 def test_constructed_density_matrices_valid():
     rng = np.random.default_rng(17)
-    states = [ghz_state(4), noisy_ghz(0.3), maximally_mixed(16)]
+    states = [ghz_state(), noisy_ghz(0.3), maximally_mixed(16)]
     states += [random_density(rng, 16) for _ in range(10)]
     for rho in states:
         check_density_matrix(rho)

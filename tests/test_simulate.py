@@ -98,7 +98,7 @@ def test_rounds_reproducible_out_of_order():
     alpha = 0.3
     transcript, _ = run_protocol(IIDNoisy(alpha), MERMIN_GAME, n_rounds=50, n_cert=1, seed=77)
     settings = mermin_functional().ideal_settings
-    table_ghz = outcome_table(ghz_state(4), settings)
+    table_ghz = outcome_table(ghz_state(), settings)
     table_mixed = outcome_table(maximally_mixed(16), settings)
     key = np.random.SeedSequence((77, TAG_ROUND)).generate_state(2, np.uint64)
     terms = MERMIN_GAME.functional.terms
@@ -245,7 +245,7 @@ def test_top_uniform_never_picks_zero_probability_outcome():
     pick = SIMULATE_MODULE._inverse_cdf
     cdf = np.cumsum([[0.1] * 10 + [0.0] * 6], axis=1)  # rounded, it ends below 1
     assert cdf[0, -1] < 1.0 and pick(cdf, top).tolist() == [9]
-    table = outcome_table(ghz_state(4), mermin_functional().ideal_settings).reshape(16, 16)
+    table = outcome_table(ghz_state(), mermin_functional().ideal_settings).reshape(16, 16)
     picks = pick(np.cumsum(table, axis=1), np.repeat(top, 16))
     assert (table[np.arange(16), picks] > 0).all()
 
