@@ -74,8 +74,8 @@ class BellFunctional:
             raise ValueError("bounds must satisfy beta_c <= beta_q <= beta_alg")
         for pair in self.ideal_settings:
             for obs in pair:
-                if not is_dichotomic(obs):
-                    raise ValueError("ideal settings must be ±1-valued observables")
+                if np.shape(obs) != (2, 2) or not is_dichotomic(obs):
+                    raise ValueError("ideal settings must be ±1-valued 2×2 observables")
 
 
 def _validate_settings(settings, parties: int) -> None:

@@ -19,8 +19,22 @@ basis (𝟙, σ₊, σ₋), with σ± = (O₀ ± O₁)/√2 from its ideal setti
 observable is cos α·σ₊ ± sin α·σ₋, so B weighs the basis by (1, cos α, sin α);
 an extraction channel is p·ρ + q·ΓρΓ with Γ = σ₊ or σ₋ by branch, so K weighs
 it by (p, q·[branch = +1], q·[branch = −1]). Each operator is therefore the
-81-entry outer product of the four vectors times a fixed table of 81 16×16
+81-entry outer product of the four vectors times a fixed table of 81
 operators (``certificate_operators``): one real matrix product per batch.
+
+The tables are built once per functional and process, in the basis
+U = (⊗ₚ Wₚ)·Q of Kaniewski's channel family (PRL 117, 070402, 2016). Wₚ's
+columns are σ₊'s eigenvectors, phased so that σ₊ → Z and σ₋ → X: B's entries
+become real, and so do K's wherever U†|GHZ⟩ is real up to a phase, as for the
+built-in functionals. Q holds the real eigenvectors of the parity
+P = ⊗ₚ Wₚ†σ₋σ₊Wₚ = (XZ)^⊗4, which anticommutes with σ₊ and σ₋ on each party.
+So P commutes with every built-in term, each on 2 or 4 parties, and with
+every entry E_j·|GHZ⟩⟨GHZ|·E_j of K, since each channel's Γ enters twice and
+P|GHZ⟩ = ±|GHZ⟩. K and B are then two real 8×8 blocks, on P's −1 and +1
+eigenspaces: a point's threshold is the larger of its blocks', its minimum
+eigenvalue the smaller. Above BLOCK_TOL, a table entry off the blocks (a term
+on an odd number of parties) gives one 16×16 block instead, and an imaginary
+part keeps complex dtype, so a file's functional loses no more than rounding.
 
 Grid certification is necessary-only evidence for the continuum inequality;
 results carry the worst grid point and its minimum eigenvalue, optionally
@@ -29,6 +43,7 @@ lowered by a local refinement, so that status stays explicit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -40,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellFunctional, get_functional
-from .quantum import I2, ghz_state, is_dichotomic
+from .quantum import I2, ghz_state, is_dichotomic, kron_all
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -59,6 +74,8 @@ KERNEL_TOL = 1e-9
 #: worker count
 SEARCH_CHUNKS = 8
 SEARCH_CHUNK_ROWS = 2048
+#: a table entry off P's blocks, or an imaginary part, this small is rounding
+BLOCK_TOL = 1e-12
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
 #: the π/12 grid certificate, but baccari's fails off that grid: at
@@ -165,28 +182,48 @@ def _kron_table(stacks: np.ndarray) -> np.ndarray:
     return table.reshape(81, 16, 16)
 
 
-def _certificate_tables(functional: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
-    """(K, B) tables over the per-party basis (𝟙, σ₊, σ₋), as real (81, 512) views.
+@functools.lru_cache(maxsize=4)  # BellFunctional hashes by identity
+def _certificate_tables(functional: BellFunctional) -> tuple[np.ndarray, ...]:
+    """(U, K table, B table); each table has shape (81, blocks, d, d) in U's basis.
 
     B's entry j is Σ_t c_t·⊗_p (term t's factor on basis element j_p); K's is
-    E_j·|GHZ⟩⟨GHZ|·E_j with E_j = ⊗_p (𝟙, σ₊, σ₋)[j_p].
+    E_j·|GHZ⟩⟨GHZ|·E_j with E_j = ⊗_p (𝟙, σ₊, σ₋)[j_p]. U and layout: module docstring.
     """
-    basis = np.array([(I2, *sigma_basis(pair)) for pair in functional.ideal_settings])
+    if functional.parties != 4:
+        raise ValueError("certificate evaluation supports 4 parties")
+    sigmas = [sigma_basis(pair) for pair in functional.ideal_settings]
+    frames = []
+    for plus, minus in sigmas:
+        w = np.linalg.eigh(plus)[1][:, ::-1]  # columns: σ₊ = +1, −1
+        phase = w[:, 1].conj() @ minus @ w[:, 0]
+        frames.append(w * [1.0, phase / abs(phase)])
+    xz = np.array([[0.0, -1.0], [1.0, 0.0]])
+    u = kron_all(frames) @ np.linalg.eigh(kron_all([xz] * 4))[1]
+    basis = np.array([(I2, *pair) for pair in sigmas])
     select = np.array([[_SETTING_FACTORS[s] for s in t.settings] for t in functional.terms])
     select[:, 0] *= np.array([t.coefficient for t in functional.terms])[:, None]
     b_table = _kron_table(select[..., None, None] * basis)
     e_table = _kron_table(basis[None])
-    k_table = e_table @ ghz_state() @ e_table
-    return tuple(t.reshape(81, 256).view(float) for t in (k_table, b_table))
+    tables = u.conj().T @ np.stack([e_table @ ghz_state() @ e_table, b_table]) @ u
+    split = tables.reshape(2, 81, 2, 8, 2, 8)
+    if np.abs(split[:, :, 0, :, 1]).max() <= BLOCK_TOL:
+        tables = np.stack([split[:, :, b, :, b] for b in (0, 1)], axis=2)
+    tables = tables.reshape(2, 81, -1, *tables.shape[-2:])
+    if np.abs(tables.imag).max() <= BLOCK_TOL:
+        tables = tables.real.copy()
+    for t in (u, tables):
+        t.setflags(write=False)
+    return u, tables[0], tables[1]
 
 
 def _contract(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Σ_j Π_p vectors[:, p, j_p]·table[j]: (n, 4, 3) per-party weights → (n, 16, 16)."""
+    """Σ_j Π_p vectors[:, p, j_p]·table[j]: (n, 4, 3) per-party weights → (n·blocks, d, d)."""
     n = len(vectors)
     weights = vectors[:, 0]
     for p in range(1, 4):
         weights = (weights[:, :, None] * vectors[:, p, None, :]).reshape(n, -1)
-    return (weights @ table).view(complex).reshape(n, 16, 16)
+    out = weights @ table.reshape(81, -1).view(float)  # a real product for complex tables too
+    return out.view(table.dtype).reshape(-1, *table.shape[2:])
 
 
 def certificate_operators(
@@ -194,16 +231,14 @@ def certificate_operators(
     branches: np.ndarray,
     functional: BellFunctional,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(K(ᾱ), B(ᾱ)) for a batch of angle tuples, each of shape (n, 16, 16).
+    """(K(ᾱ), B(ᾱ)) for a batch of angle tuples as U-basis blocks, each (n·blocks, d, d).
 
     ``angles`` and ``branches`` have shape (n, parties); both operators are
     contractions of per-party weights with fixed tables (module docstring).
     """
-    if functional.parties != 4:
-        raise ValueError("certificate evaluation supports 4 parties")
+    _, k_table, b_table = _certificate_tables(functional)
     angles = np.asarray(angles, dtype=float)
     plus = np.asarray(branches) == 1
-    k_table, b_table = _certificate_tables(functional)
     g = channel_weight(angles)
     p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
     k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
@@ -225,9 +260,9 @@ def certificate_eigenvalues(
     k_op, bell_op = certificate_operators(angles, branches, functional)
     mu = 1.0 - s * functional.beta_q
     cert = k_op - s * bell_op
-    idx = np.arange(16)
+    idx = np.arange(cert.shape[-1])
     cert[:, idx, idx] -= mu
-    return np.linalg.eigvalsh(cert)[:, 0].real
+    return np.linalg.eigvalsh(cert)[:, 0].reshape(len(angles), -1).min(axis=1)
 
 
 def slope_thresholds(
@@ -243,7 +278,7 @@ def slope_thresholds(
     vanish no slope passes and the threshold is ∞.
     """
     k_op, bell_op = certificate_operators(angles, branches, functional)
-    idx = np.arange(16)
+    idx = np.arange(k_op.shape[-1])
     c_op = -bell_op
     c_op[:, idx, idx] += functional.beta_q
     a_op = -k_op
@@ -256,27 +291,21 @@ def slope_thresholds(
     singular = np.flatnonzero(kernel.any(axis=1))
     leak = a_op[singular] @ (vec[singular] * kernel[singular, None, :])
     thresholds[singular[np.abs(leak).max(axis=(1, 2)) > KERNEL_TOL]] = np.inf
-    return thresholds
+    return thresholds.reshape(len(angles), -1).max(axis=1)
 
 
 def is_party_symmetric(functional: BellFunctional) -> bool:
     """True when terms and ideal settings are invariant under party relabeling."""
     pairs = functional.ideal_settings
-    for pair in pairs[1:]:
-        if not (
-            np.allclose(pair[0], pairs[0][0], atol=1e-12)
-            and np.allclose(pair[1], pairs[0][1], atol=1e-12)
-        ):
-            return False
-    canonical = sorted((t.coefficient, t.settings) for t in functional.terms)
-    for perm in itertools.permutations(range(functional.parties)):
-        permuted = sorted(
-            (t.coefficient, tuple(t.settings[perm[p]] for p in range(functional.parties)))
-            for t in functional.terms
-        )
-        if permuted != canonical:
-            return False
-    return True
+    if not all(np.allclose(pair, pairs[0], atol=1e-12) for pair in pairs[1:]):
+        return False
+    terms = [(t.coefficient, tuple(-1 if s is None else s for s in t.settings))
+             for t in functional.terms]  # -1 for None: sorting compares settings
+    canonical = sorted(terms)
+    return all(
+        sorted((c, tuple(settings[p] for p in perm)) for c, settings in terms) == canonical
+        for perm in itertools.permutations(range(functional.parties))
+    )
 
 
 def snap_grid_step(grid_step: float) -> tuple[float, int]:

@@ -1,9 +1,11 @@
 """Independent scalar oracles for the tests, kept out of the package.
 
 The package assembles the self-testing certificate in batches
-(``certificate_operators``). The scalar forms here follow Kaniewski's channel
-family (PRL 117, 070402, 2016) one Jordan angle and one party at a time, so
-the tests can check the batched assembly against a second derivation. The
+(``certificate_operators``), as diagonal blocks in a fixed basis U.
+``dense_operators`` maps them back to the computational basis as
+U·blockdiag·U†. The scalar forms here follow Kaniewski's channel family
+(PRL 117, 070402, 2016) one Jordan angle and one party at a time, so the
+tests can check the batched assembly against a second derivation. The
 violation at arbitrary settings, the density-matrix check, the exhaustive
 classical bound and the functional writer serve the tests alone; no pipeline
 calls them.
@@ -20,6 +22,7 @@ from ghzcert.quantum import expectation, hermitian_eigenvalues, is_hermitian
 from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
+    _certificate_tables,
     certificate_eigenvalues,
     certificate_operators,
     channel_weight,
@@ -71,9 +74,24 @@ def certificate_min_eig(s: float, angles, functional: BellFunctional) -> float:
         s, np.array([angles], dtype=float), np.array([branches_of(angles)]), functional)[0])
 
 
+def dense_operators(angles, branches, functional: BellFunctional) -> tuple[np.ndarray, ...]:
+    """(K, B) of ``certificate_operators`` as (n, 16, 16) computational-basis
+    matrices: U·blockdiag(blocks)·U† per point."""
+    u = _certificate_tables(functional)[0]
+    dense = []
+    for blocks in certificate_operators(angles, branches, functional):
+        blocks = blocks.reshape(len(angles), -1, *blocks.shape[1:])
+        d = blocks.shape[-1]
+        diag = np.zeros((len(angles), 16, 16), dtype=complex)
+        for b in range(blocks.shape[1]):
+            diag[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = blocks[:, b]
+        dense.append(u @ diag @ u.conj().T)
+    return tuple(dense)
+
+
 def build_K(angles, functional: BellFunctional) -> np.ndarray:
     """Extraction channels applied factor-wise to the GHZ projector."""
-    k_op, _ = certificate_operators(
+    k_op, _ = dense_operators(
         np.array([angles], dtype=float), np.array([branches_of(angles)]), functional)
     return k_op[0]
 

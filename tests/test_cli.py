@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ghzcert
-from ghzcert.bell import mermin_functional
+from ghzcert.bell import get_functional, mermin_functional
 from ghzcert.cli import build_parser, dispatch
 from reference import functional_to_json
 
@@ -389,3 +389,67 @@ def test_replay_fuzzed_event_files_keep_cli_contract(tmp_path, capsys, monkeypat
             assert out.count("\n") == 1 and set(doc) == {"error"}
         codes.append(code)
     assert {1, 2} <= set(codes)
+
+
+def _mutate_functional(doc: dict, rng) -> dict:
+    """One seeded edit of a functional's JSON object: a dropped key, a wrong type,
+    a matrix that is not Hermitian or not dichotomic, a setting pair that does
+    not anticommute, or a term on an odd number of parties."""
+    doc = json.loads(json.dumps(doc))
+    pair = doc["ideal_settings"][int(rng.integers(4))]
+    which = int(rng.integers(2))
+    term = doc["terms"][int(rng.integers(len(doc["terms"])))]
+    kind = int(rng.integers(6))
+    if kind == 0:
+        owner = doc if rng.random() < 0.5 else term
+        del owner[str(rng.choice(sorted(owner)))]
+    elif kind == 1:
+        value = [None, True, "1", [], {}, 1.5, -4, [[0, 0]], 2**64][int(rng.integers(9))]
+        where = int(rng.integers(4))
+        if where == 0:
+            doc[str(rng.choice(sorted(doc)))] = value
+        elif where == 1:
+            term[str(rng.choice(sorted(term)))] = value
+        elif where == 2:
+            pair[which] = value
+        else:
+            pair[which][int(rng.integers(2))][int(rng.integers(2))] = value
+    elif kind == 2:
+        pair[which][0][1] = [pair[which][0][1][0] + 0.5, pair[which][0][1][1]]
+    elif kind == 3:
+        pair[which] = [
+            [[1.5 * re, 1.5 * im] for re, im in row] for row in pair[which]
+        ] if rng.random() < 0.5 else [
+            [[float(i == j), 0.0] for j in range(4)] for i in range(4)  # dichotomic, not a qubit
+        ]
+    elif kind == 4:
+        pair[1 - which] = pair[which] if rng.random() < 0.5 else [
+            [[-re, -im] for re, im in row] for row in pair[which]
+        ]
+    else:
+        term["settings"][int(rng.integers(4))] = None
+    return doc
+
+
+@pytest.mark.parametrize("functional", ["mermin", "zhao"])
+def test_bound_fuzzed_operator_files_keep_cli_contract(functional, tmp_path, capsys):
+    """60 seeded mutations of a valid functional file: exit 0/1/2, strict JSON,
+    one JSON error line on exit 2, no exception out of the CLI."""
+    rng = np.random.default_rng(14)
+    valid = json.loads(functional_to_json(get_functional(functional)))
+    path = tmp_path / "operator.json"
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    codes = []
+    for _ in range(60):
+        path.write_text(json.dumps(_mutate_functional(valid, rng)))
+        code, out = run_cli(["bound", "--operator-file", str(path),
+                             "--grid-step", repr(math.pi / 4)], capsys)
+        assert code in (0, 1, 2)
+        doc = json.loads(out, parse_constant=reject)
+        if code == 2:
+            assert out.count("\n") == 1 and set(doc) == {"error"}
+        codes.append(code)
+    assert {0, 2} <= set(codes)

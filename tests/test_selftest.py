@@ -10,21 +10,22 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import (
+    BellTerm,
     baccari_functional,
     get_functional,
     mermin_functional,
     term_operator,
     zhao_functional,
 )
-from ghzcert.quantum import I2, X, Y, expectation, ghz_state, hermitian_eigenvalues, kron_all
+from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
     BoundSearchError,
     SelfTestBound,
+    _certificate_tables,
     angle_nodes,
     bound_search,
     channel_weight,
     certificate_eigenvalues,
-    certificate_operators,
     extractability_bound,
     is_party_symmetric,
     published_bound,
@@ -37,6 +38,7 @@ from reference import (
     branches_of,
     build_K,
     certificate_min_eig,
+    dense_operators,
     extraction_channel,
     jordan_observable,
     violation_at,
@@ -125,33 +127,89 @@ def _on_party(op, party):
     return kron_all([op if q == party else I2 for q in range(4)])
 
 
+def _reference_operators(point, point_branches, f):
+    """(K, B) from the scalar Jordan observables and channels, party by party."""
+    bases = [sigma_basis(pair) for pair in f.ideal_settings]
+    b_ref = sum(
+        t.coefficient * kron_all(
+            I2 if setting is None else jordan_observable(point[p], setting, bases[p])
+            for p, setting in enumerate(t.settings)
+        )
+        for t in f.terms
+    )
+    k_ref = ghz_state()
+    for p, (alpha, branch) in enumerate(zip(point, point_branches)):
+        on_party = tuple(_on_party(op, p) for op in bases[p])
+        k_ref = extraction_channel(alpha, k_ref, on_party, int(branch))
+    return k_ref, b_ref
+
+
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
 def test_certificate_operators_match_scalar_reference(operator):
     """The batched contraction against the scalar Jordan observables and
     channels: B = Σ c_t ⊗ observables, K = channels applied party by party."""
     f = get_functional(operator)
-    bases = [sigma_basis(pair) for pair in f.ideal_settings]
     rng = np.random.default_rng(21)
     angles = np.vstack(
         [rng.uniform(0, math.pi / 2, size=(50, 4)), np.zeros(4), np.full((2, 4), QUARTER)]
     )
     branches = np.where(angles <= QUARTER, 1, -1)
     branches[-1] = -1  # π/4 on the σ₋ branch
-    k_ops, b_ops = certificate_operators(angles, branches, f)
+    k_ops, b_ops = dense_operators(angles, branches, f)
     for point, point_branches, k_op, b_op in zip(angles, branches, k_ops, b_ops):
-        b_ref = sum(
-            t.coefficient * kron_all(
-                I2 if setting is None else jordan_observable(point[p], setting, bases[p])
-                for p, setting in enumerate(t.settings)
-            )
-            for t in f.terms
-        )
-        k_ref = ghz_state()
-        for p, (alpha, branch) in enumerate(zip(point, point_branches)):
-            on_party = tuple(_on_party(op, p) for op in bases[p])
-            k_ref = extraction_channel(alpha, k_ref, on_party, int(branch))
+        k_ref, b_ref = _reference_operators(point, point_branches, f)
         assert np.max(np.abs(b_op - b_ref)) <= 1e-12
         assert np.max(np.abs(k_op - k_ref)) <= 1e-12
+
+
+def _random_points(rng, n):
+    """Angles in [0, π/2] with branches drawn independently of them."""
+    return rng.uniform(0, math.pi / 2, size=(n, 4)), rng.choice([-1, 1], size=(n, 4))
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_builtin_tables_are_two_real_parity_blocks(operator):
+    """P = ⊗ₚ σ₋σ₊ commutes with K and B at 100 random points, whose per-party
+    weights span all 81 table entries; the tables' basis U splits P into its
+    −1 and +1 eigenspaces, and the stored tables are two real 8×8 blocks."""
+    f = get_functional(operator)
+    parity = kron_all(minus @ plus for plus, minus in map(sigma_basis, f.ideal_settings))
+    u, k_table, b_table = _certificate_tables(f)
+    assert np.max(np.abs(u.conj().T @ parity @ u - np.diag([-1.0] * 8 + [1.0] * 8))) <= 1e-12
+    for table in (k_table, b_table):
+        assert table.dtype == np.float64 and table.shape == (81, 2, 8, 8)
+    angles, branches = _random_points(np.random.default_rng(23), 100)
+    for point, point_branches in zip(angles, branches):
+        for op in _reference_operators(point, point_branches, f):
+            assert np.max(np.abs(parity @ op - op @ parity)) <= 1e-12
+
+
+def test_odd_body_off_plane_functional_keeps_one_complex_block():
+    """Mermin plus a 1-body and a 3-body term, with O₁ = cos 0.3·Y + sin 0.3·Z:
+    one complex 16×16 block, whose thresholds and certificate minima match
+    dense solves on the scalar reference operators."""
+    o1 = math.cos(0.3) * Y + math.sin(0.3) * Z
+    mermin = mermin_functional()
+    f = dataclasses.replace(
+        mermin, name="odd", beta_q=8.75, beta_alg=8.75, ideal_settings=((X, o1),) * 4,
+        terms=mermin.terms
+        + (BellTerm(0.5, (0, None, None, None)), BellTerm(-0.25, (1, 0, 1, None))),
+    )
+    _, k_table, b_table = _certificate_tables(f)
+    for table in (k_table, b_table):
+        assert table.dtype == np.complex128 and table.shape == (81, 1, 16, 16)
+    angles, branches = _random_points(np.random.default_rng(24), 30)
+    s = 0.3
+    thresholds = slope_thresholds(angles, branches, f)
+    minima = certificate_eigenvalues(s, angles, branches, f)
+    for point, point_branches, threshold, minimum in zip(angles, branches, thresholds, minima):
+        k_ref, b_ref = _reference_operators(point, point_branches, f)
+        lam, vec = np.linalg.eigh(f.beta_q * np.eye(16) - b_ref)
+        whiten = vec / np.sqrt(lam)
+        pencil = whiten.conj().T @ (np.eye(16) - k_ref) @ whiten
+        assert abs(threshold - np.linalg.eigvalsh(pencil)[-1]) <= 1e-12
+        cert = k_ref - s * b_ref - (1.0 - s * f.beta_q) * np.eye(16)
+        assert abs(minimum - np.linalg.eigvalsh(cert)[0]) <= 1e-12
 
 
 def test_certificate_at_ideal_point():
