@@ -280,9 +280,18 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _pair(items, what: str) -> list:
+    """A JSON list of exactly two items inside ideal_settings."""
+    if len(items) != 2:
+        raise ValueError(f"functional JSON field 'ideal_settings' needs {what}, "
+                         f"got {len(items)} items")
+    return items
+
+
 def _matrix_from_json(rows: list) -> np.ndarray:
     return np.array([
-        [complex(_number(re, "ideal_settings"), _number(im, "ideal_settings")) for re, im in row]
+        [complex(*(_number(x, "ideal_settings") for x in _pair(entry, "[re, im] entries")))
+         for entry in row]
         for row in rows
     ])
 
@@ -305,8 +314,8 @@ def functional_from_json(text: str) -> BellFunctional:
             for t in doc["terms"]
         )
         settings = tuple(
-            (_matrix_from_json(p0), _matrix_from_json(p1))
-            for p0, p1 in doc["ideal_settings"]
+            tuple(map(_matrix_from_json, _pair(pair, "pairs of matrices")))
+            for pair in doc["ideal_settings"]
         )
         return BellFunctional(
             name=name,

@@ -234,6 +234,8 @@ def sweep(
     """
     if figure not in SWEEP_FIGURES:
         raise ValueError(f"unknown figure {figure!r}; choose from {SWEEP_FIGURES}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
     functional, game, bound = operator_context(operator)
     rows: list[tuple[float, float, str]] = []
 

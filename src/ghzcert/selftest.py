@@ -11,8 +11,11 @@ is positive semidefinite, each grid point has a closed-form smallest feasible
 slope, the generalized eigenvalue λ_max(C^{-1/2}(𝟙 − K)C^{-1/2})
 (``slope_thresholds``). ``bound_search`` takes the maximum threshold over the
 grid in one pass and checks it with one certificate pass (``evaluate_grid``).
-Both passes are chunked, order-independent parallel maps with exact max/min
-reductions, so results do not depend on the worker count.
+Both passes, and ``--refine``'s sub-grids, are tasks on one pool: each task
+carries its points, the workers hold only the functional, and every chunk
+returns its values in grid order. The parent takes every reduction (the
+largest threshold, the first minimum, the seeds to refine), with ties in grid
+order, so results do not depend on the worker count.
 
 Both operators are multilinear in one 3-vector per party over that party's
 basis (𝟙, σ₊, σ₋), with σ± = (O₀ ± O₁)/√2 from its ideal settings. A Jordan
@@ -38,7 +41,8 @@ part keeps complex dtype, so a file's functional loses no more than rounding.
 
 Grid certification is necessary-only evidence for the continuum inequality;
 results carry the worst grid point and its minimum eigenvalue, optionally
-lowered by a local refinement, so that status stays explicit.
+lowered by a step/4 search around the 100 lowest grid points, so that status
+stays explicit.
 """
 
 from __future__ import annotations
@@ -314,8 +318,8 @@ def snap_grid_step(grid_step: float) -> tuple[float, int]:
     Accepts steps quoted to a few decimals (π/60 ≈ 0.05236); the interval
     count must come out even so that π/4 lands on a grid node.
     """
-    if grid_step <= 0:
-        raise ValueError(f"grid step must be positive, got {grid_step!r}")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
     intervals = round(HALF_PI / grid_step)
     if intervals < 2 or abs(intervals * grid_step - HALF_PI) > 1e-3:
         raise ValueError(f"grid step {grid_step!r} does not divide pi/2")
@@ -350,78 +354,74 @@ def _grid_indices(n_nodes: int, parties: int, symmetric: bool) -> np.ndarray:
     ).reshape(-1, parties)
 
 
-_WORKER: dict = {}
+_functional: BellFunctional | None = None
 
 
-def _init_worker(functional: BellFunctional, node_angles, node_branches, indices) -> None:
-    _WORKER["functional"] = functional
-    _WORKER["angles"] = node_angles
-    _WORKER["branches"] = node_branches
-    _WORKER["indices"] = indices
+def _init_worker(functional: BellFunctional) -> None:
+    """Install the functional once per process, so its certificate tables stay cached."""
+    global _functional
+    _functional = functional
 
 
-def _chunk_points(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx = _WORKER["indices"][start:stop]
-    return idx, _WORKER["angles"][idx], _WORKER["branches"][idx]
+def _task_points(angles: np.ndarray, branches: np.ndarray, rows: np.ndarray):
+    """A task's points: (angles, branches) at its node-index ``rows``, each (n, parties).
+
+    ``angles`` and ``branches`` are (parties, k) node tables; row r's party p
+    sits at node ``rows[r, p]`` of table row p.
+    """
+    parties = np.arange(rows.shape[1])
+    return angles[parties, rows], branches[parties, rows]
 
 
-def _eval_chunk(args) -> tuple:
-    """Evaluate one chunk; returns its k smallest (value, node-index-tuple) pairs."""
-    start, stop, s, keep = args
-    idx, angles, branches = _chunk_points(start, stop)
-    values = certificate_eigenvalues(s, angles, branches, _WORKER["functional"])
-    keep = min(keep, len(values))
-    order = np.argpartition(values, keep - 1)[:keep]
-    pairs = sorted((float(values[i]), tuple(int(v) for v in idx[i])) for i in order)
-    return pairs
+def _threshold_chunk(task) -> np.ndarray:
+    """Slope thresholds at the points of one (angles, branches, rows) task, in row order."""
+    return slope_thresholds(*_task_points(*task), _functional)
 
 
-def _threshold_chunk(args) -> float:
-    """Largest slope threshold in one chunk."""
-    start, stop = args
-    _, angles, branches = _chunk_points(start, stop)
-    return float(np.max(slope_thresholds(angles, branches, _WORKER["functional"])))
+def _eigenvalue_chunk(task) -> np.ndarray:
+    """Certificate minimum eigenvalues at the points of one (s, angles, branches, rows)
+    task, in row order."""
+    s, *points = task
+    return certificate_eigenvalues(s, *_task_points(*points), _functional)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """A functional's Jordan-angle grid, installed in this process or in workers.
+    """A functional's Jordan-angle grid, with the map that evaluates tasks on it.
 
-    ``map`` is an order-preserving map over chunk tasks: the builtin with one
-    worker, a process pool's otherwise.
+    A task carries its own points (:func:`_task_points`), so ``map``'s workers
+    hold only the functional. ``map`` is an order-preserving map over tasks:
+    the builtin with one worker, a process pool's otherwise.
     """
 
     node_angles: np.ndarray
     node_branches: np.ndarray
-    size: int
+    indices: np.ndarray  # (points, parties) node-index rows, in grid order
     map: Callable
 
-    def map_chunks(self, fn: Callable, *extra) -> list:
-        """``fn((start, stop, *extra))`` for consecutive chunks of grid points, in order.
+    def tasks(self, *head) -> list:
+        """``(*head, angles, branches, rows)`` for consecutive chunks of grid rows, in order.
 
         The chunk size depends on the grid size only (see ``SEARCH_CHUNKS``).
         """
-        rows = min(SEARCH_CHUNK_ROWS, -(-self.size // SEARCH_CHUNKS))
-        tasks = [
-            (start, min(start + rows, self.size), *extra)
-            for start in range(0, self.size, rows)
-        ]
-        return list(self.map(fn, tasks))
+        size, parties = self.indices.shape
+        rows = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
+        tables = [np.tile(nodes, (parties, 1)) for nodes in (self.node_angles, self.node_branches)]
+        return [(*head, *tables, self.indices[i:i + rows]) for i in range(0, size, rows)]
 
 
 @contextmanager
 def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its
-    passes, capped at the CPUs this process may run on.
+    tasks, capped at the CPUs this process may run on; each worker holds only
+    the functional.
 
     The grid is the product of branch-resolved nodes, reduced to sorted tuples
     when the functional is party-symmetric (which leaves every extremum over
     the grid unchanged).
     """
     node_angles, node_branches = angle_nodes(grid_step)
-    symmetric = is_party_symmetric(functional)
-    indices = _grid_indices(len(node_angles), functional.parties, symmetric)
-    init_args = (functional, node_angles, node_branches, indices)
+    indices = _grid_indices(len(node_angles), functional.parties, is_party_symmetric(functional))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, cpus or 1)  # the pool forks all its workers at the first pass
     # Processes, not threads: batched eigh releases the GIL, and two threads ran
@@ -430,31 +430,27 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=init_args
+            max_workers=workers, initializer=_init_worker, initargs=(functional,)
         ) as pool:
-            yield Grid(node_angles, node_branches, len(indices), pool.map)
+            yield Grid(node_angles, node_branches, indices, pool.map)
     else:
-        _init_worker(*init_args)
-        yield Grid(node_angles, node_branches, len(indices), map)
+        _init_worker(functional)
+        yield Grid(node_angles, node_branches, indices, map)
 
 
-@dataclass(frozen=True)
-class GridEvaluation:
-    """Deterministic reduction of a grid pass: worst value and worst points."""
+def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
+    """Certificate minimum eigenvalue at every point of an :func:`open_grid` grid,
+    in grid order.
 
-    min_eig: float
-    worst_nodes: tuple  # (value, node-index-tuple) pairs, ascending
-
-
-def evaluate_grid(s: float, grid: Grid, keep_worst: int = 1) -> GridEvaluation:
-    """Minimum certificate eigenvalue over an :func:`open_grid` grid.
-
-    Chunks are reduced by (value, point) pairs in fixed order, so the result
-    is identical for any worker count.
+    Chunks fill one preallocated array, so the values, and every reduction the
+    caller takes over them, are identical for any worker count.
     """
-    chunk_results = grid.map_chunks(_eval_chunk, s, keep_worst)
-    merged = sorted(pair for chunk in chunk_results for pair in chunk)[:keep_worst]
-    return GridEvaluation(min_eig=merged[0][0], worst_nodes=tuple(merged))
+    values = np.empty(len(grid.indices))
+    start = 0
+    for chunk in grid.map(_eigenvalue_chunk, grid.tasks(s)):
+        values[start:start + len(chunk)] = chunk
+        start += len(chunk)
+    return values
 
 
 @dataclass(frozen=True)
@@ -464,32 +460,16 @@ class BoundSearchResult:
     min_eig: float
 
 
-def _refine_minimum(
-    s: float,
-    functional: BellFunctional,
-    seeds: tuple,
-    node_angles: np.ndarray,
-    node_branches: np.ndarray,
-    grid_step: float,
-) -> tuple[float, tuple[float, ...]]:
-    """Local (step/4) sub-grid search around the worst coarse points."""
+def _refine_tasks(s: float, grid: Grid, seeds: np.ndarray, grid_step: float) -> list:
+    """One (s, angles, branches, rows) task per seed node-index row: the 5⁴
+    sub-grid at step/4 around it, clipped to [0, π/2]."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
-    best_val = math.inf
-    best_point = None
-    for _, node_idx in seeds:
-        centers = node_angles[list(node_idx)]
-        seed_branches = node_branches[list(node_idx)]
-        axes = [np.clip(c + offsets, 0.0, HALF_PI) for c in centers]
-        local = np.array(list(itertools.product(*axes)))
-        branches = np.where(local <= QUARTER_PI, 1, -1)
-        at_quarter = np.abs(local - QUARTER_PI) <= 1e-15
-        branches = np.where(at_quarter, seed_branches[None, :], branches)
-        values = certificate_eigenvalues(s, local, branches, functional)
-        i = int(np.argmin(values))
-        if values[i] < best_val:
-            best_val = float(values[i])
-            best_point = tuple(float(a) for a in local[i])
-    return best_val, best_point
+    angles = np.clip(grid.node_angles[seeds][..., None] + offsets, 0.0, HALF_PI)
+    branches = np.where(angles <= QUARTER_PI, 1, -1)
+    at_quarter = np.abs(angles - QUARTER_PI) <= 1e-15
+    branches = np.where(at_quarter, grid.node_branches[seeds][..., None], branches)
+    rows = _grid_indices(len(offsets), seeds.shape[1], symmetric=False)
+    return [(s, *tables, rows) for tables in zip(angles, branches)]
 
 
 def bound_search(
@@ -504,36 +484,41 @@ def bound_search(
     s is the maximum over the grid of the per-point thresholds
     (:func:`slope_thresholds`). One :func:`evaluate_grid` pass at s, on the
     same workers, verifies it: the certificate's minimum eigenvalue must stay
-    above −``slack`` at every grid point; μ is always 1 − s·β_Q. Raises
-    :class:`BoundSearchError` when no slope in [0, 1] passes, which signals a
-    wrong channel family or functional, or when s fails the verification, and
-    ValueError for a ``slack`` that is negative or not finite or fewer than
-    one thread.
+    above −``slack`` at every grid point; μ is always 1 − s·β_Q. With
+    ``refine``, step/4 sub-grids around the 100 lowest grid points, on the
+    same workers, may lower the reported minimum and move the worst point.
+    Raises :class:`BoundSearchError` when no slope in [0, 1] passes, which
+    signals a wrong channel family or functional, or when s fails the
+    verification, and ValueError for a ``slack`` that is negative or not
+    finite or fewer than one thread.
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     with open_grid(functional, grid_step, threads) as grid:
-        s = max(grid.map_chunks(_threshold_chunk))
+        s = max(float(chunk.max()) for chunk in grid.map(_threshold_chunk, grid.tasks()))
         if not s <= 1.0:
             raise BoundSearchError(
                 "certificate infeasible at s=1; channel family does not match the functional"
             )
-        final = evaluate_grid(s, grid, keep_worst=100 if refine else 1)
-    if final.min_eig < -slack:
-        raise BoundSearchError(
-            f"threshold slope {s!r} fails the grid certificate "
-            f"(minimum eigenvalue {final.min_eig!r} below -{slack!r})"
-        )
-    min_eig = final.min_eig
-    worst = tuple(float(grid.node_angles[i]) for i in final.worst_nodes[0][1])
-    if refine:
-        refined_val, refined_point = _refine_minimum(
-            s, functional, final.worst_nodes, grid.node_angles, grid.node_branches, grid_step
-        )
-        if refined_val < min_eig:
-            min_eig, worst = refined_val, refined_point
+        values = evaluate_grid(s, grid)
+        worst_row = int(np.argmin(values))  # the first in grid order among ties
+        min_eig = float(values[worst_row])
+        if min_eig < -slack:
+            raise BoundSearchError(
+                f"threshold slope {s!r} fails the grid certificate "
+                f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
+            )
+        worst = tuple(float(a) for a in grid.node_angles[grid.indices[worst_row]])
+        if refine:
+            seeds = grid.indices[np.argsort(values, kind="stable")[:100]]
+            tasks = _refine_tasks(s, grid, seeds, grid_step)
+            local = np.stack(list(grid.map(_eigenvalue_chunk, tasks)))
+            seed, row = np.unravel_index(np.argmin(local), local.shape)
+            if local[seed, row] < min_eig:
+                min_eig = float(local[seed, row])
+                worst = tuple(float(a) for a in _task_points(*tasks[seed][1:])[0][row])
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), worst_point=worst, min_eig=min_eig
     )

@@ -97,7 +97,8 @@ def build_K(angles, functional: BellFunctional) -> np.ndarray:
 
 
 def _evaluate(s: float, functional: BellFunctional, step: float, threads: int):
-    """One :func:`evaluate_grid` pass at slope ``s`` on a grid opened for it."""
+    """Certificate minimum eigenvalues at slope ``s`` on a grid opened for it, in
+    grid order (one :func:`evaluate_grid` pass)."""
     with open_grid(functional, step, threads) as grid:
         return evaluate_grid(s, grid)
 

@@ -105,8 +105,8 @@ def test_criterion_3_table_constants_and_certificate_feasibility():
     mermin = get_functional("mermin")
     full = os.environ.get("GHZCERT_FULL_GRID") == "1"
     grid_step = math.pi / 120 if full else math.pi / 24
-    result = _evaluate(CORNER_SLOPE, mermin, grid_step, THREADS)
-    feasible_ok = result.min_eig >= -1e-6
+    min_eig = _evaluate(CORNER_SLOPE, mermin, grid_step, THREADS).min()
+    feasible_ok = min_eig >= -1e-6
 
     # the gap to the published slope: 4s − 7/8 at the all-zero corner is −1/8
     published_s = published_bound("mermin").s
@@ -119,7 +119,7 @@ def test_criterion_3_table_constants_and_certificate_feasibility():
         3,
         f"s*beta_Q+mu=1 within 2e-4 (all operators): {saturation_ok}; "
         f"s=7/32 certificate min eig at pi/{120 if full else 24} grid = "
-        f"{result.min_eig:.4g} (need >= -1e-6); published s={published_s} gives "
+        f"{min_eig:.4g} (need >= -1e-6); published s={published_s} gives "
         f"{corner:.4g} at the all-zero corner (need -1/8) and is below the "
         f"witness floor (2+sqrt2)/16 = {WITNESS_SLOPE_FLOOR:.4f}: {gap_ok}",
         ok, elapsed,
@@ -282,7 +282,7 @@ def test_criterion_9_property_suites():
     f = get_functional("mermin")
     reference = _evaluate(0.2, f, math.pi / 12, 1)
     det_ok = all(
-        _evaluate(0.2, f, math.pi / 12, k) == reference
+        np.array_equal(_evaluate(0.2, f, math.pi / 12, k), reference)
         for k in (2, 3)
     )
     t1, _ = run_protocol(IIDNoisy(0.1), game, n_rounds=300, n_cert=1, seed=1)

@@ -104,6 +104,17 @@ BAD_OPERATOR_FILES["huge_coefficient"] = _mermin_with(["terms", 0, "coefficient"
 # json.loads reads Infinity; with beta_alg infinite too, only the eigensolver would object
 BAD_OPERATOR_FILES["infinite_coefficient"] = _mermin_with(["beta_alg"], math.inf).replace(
     '"coefficient": 1.0', '"coefficient": Infinity', 1)
+_MATRIX = json.loads(functional_to_json(mermin_functional()))["ideal_settings"][0][0]
+IDEAL_SETTINGS_FILES = {
+    "one_matrix_pair": _mermin_with(["ideal_settings", 0], [_MATRIX]),
+    "three_matrix_pair": _mermin_with(["ideal_settings", 0], [_MATRIX] * 3),
+    "short_matrix_entry": _mermin_with(["ideal_settings", 0, 0, 0, 1], [0]),
+    "long_matrix_entry": _mermin_with(["ideal_settings", 0, 0, 0, 1], [0, 0, 0]),
+}
+BAD_OPERATOR_FILES.update(IDEAL_SETTINGS_FILES)
+#: argv tokens whose usage error must name the field or flag at fault
+ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step",
+               **{f"{{{name}}}": "ideal_settings" for name in IDEAL_SETTINGS_FILES}}
 
 
 @pytest.mark.parametrize(
@@ -138,6 +149,17 @@ BAD_OPERATOR_FILES["infinite_coefficient"] = _mermin_with(["beta_alg"], math.inf
         ["bound", "--slack", "-1"],
         ["bound", "--threads", "0"],
         ["bound", "--threads", "-3"],
+        ["bound", "--operator-file", "{one_matrix_pair}"],
+        ["bound", "--operator-file", "{three_matrix_pair}"],
+        ["bound", "--operator-file", "{short_matrix_entry}"],
+        ["bound", "--operator-file", "{long_matrix_entry}"],
+        ["sweep", "--figure", "middle", "--eta", "-1"],  # read as extractability 2
+        ["sweep", "--figure", "middle", "--eta", "1.5"],
+        ["sweep", "--figure", "middle", "--eta", "5"],
+        ["sweep", "--figure", "middle", "--eta", "inf"],
+        ["sweep", "--figure", "middle", "--eta", "nan"],
+        ["bound", "--grid-step", "nan"],
+        ["bound", "--grid-step", "inf"],
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
@@ -146,11 +168,13 @@ def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
     for name, text in BAD_OPERATOR_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    names = [ERROR_NAMES[a] for a in argv if a in ERROR_NAMES]
     argv = [a.format(**paths) for a in argv]
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out.count("\n") == 1
     assert set(json.loads(out)) == {"error"}
+    assert all(name in json.loads(out)["error"] for name in names)
 
 
 @pytest.mark.parametrize(
@@ -243,9 +267,10 @@ def test_bound_accepts_functional_file(tmp_path, capsys):
 def test_bound_threads_do_not_change_output(capsys):
     argv = ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 8),
             "--s-tol", "1e-2"]
-    _, one = run_cli(argv + ["--threads", "1"], capsys)
-    _, two = run_cli(argv + ["--threads", "2"], capsys)
-    assert one == two
+    for refine in ([], ["--refine"]):
+        one, two, three = (run_cli(argv + refine + ["--threads", str(threads)], capsys)[1]
+                           for threads in (1, 2, 3))
+        assert one == two == three
 
 
 def test_simulate_writes_transcript(tmp_path, capsys):
