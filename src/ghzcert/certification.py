@@ -1,4 +1,4 @@
-"""Finite-sample certification: confidence bound in N and its inversions.
+"""Finite-sample certification: the confidence bound and its inversion.
 
 The protocol certifies one unmeasured copy from the pass rate P of the other
 N−1. The failure probability obeys
@@ -8,9 +8,11 @@ N−1. The failure probability obeys
 with m the fraction of copies measured, p₁ the winning-probability threshold
 (set to the observed P), p₂ = p_QM − c·η the winning probability compatible
 with extractability 1−η, and D the Kullback-Leibler divergence between
-Bernoulli distributions. The bound is strictly decreasing in N and in the
-gap p₁ − p₂, so it inverts cleanly in every direction: maximum certified
-extractability at fixed N, or minimum N at fixed targets.
+Bernoulli distributions. The bound is at most δ exactly when
+D(P‖p₂) ≥ D* = −ln(1 + (δ^{1/N} − 1)/m), a closed form. The largest certified
+extractability therefore solves D(P‖p₂) = D* for p₂ < P, by Newton's method
+from a start that Pinsker's inequality puts below the root; a final guard
+raises η by a few ulps until the bound, evaluated as printed, is at most δ.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ import numpy as np
 from .bell import get_functional, pass_probability, to_game
 from .quantum import noisy_ghz
 from .selftest import SelfTestBound, extractability_bound, published_bound
-
-# spec'd accuracy is 1e-6; bisect well past it so the N <-> eta round trip
-# stays exact at integer granularity even where d(delta)/d(eta) is steep
-ETA_TOL = 1e-12
-#: a pass rate above p_QM by at most this much is rounding, not an impossible rate
-EPSILON1_TOL = 1e-9
 
 
 def kl(p1: float, p2: float) -> float:
@@ -90,6 +86,10 @@ class CertificationQuery:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 copies, got {self.n}")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError("n is too large to convert to a float") from None
         check_delta(self.delta)
         if not 0.0 <= self.pass_rate <= 1.0:
             raise ValueError(f"pass rate must be in [0, 1], got {self.pass_rate!r}")
@@ -110,18 +110,40 @@ class CertificationReport:
 
 
 def _delta_at_eta(query: CertificationQuery, eta: float) -> float:
-    p2 = query.p_qm - query.bound.c * eta
-    if p2 < 0.0:
-        p2 = 0.0
+    p2 = max(query.p_qm - query.bound.c * eta, 0.0)
+    if p2 >= query.pass_rate:  # no statistical gap: only the trivial bound holds
+        return 1.0
     return confidence_bound(query.n, query.mu_meas, query.pass_rate, p2)
 
 
+def _kl_root(p: float, divergence: float) -> float:
+    """The p₂ < p with D(p‖p₂) = divergence, by Newton's method.
+
+    D(p‖·) is convex and decreasing on (0, p), so Newton iterates started left
+    of the root climb to it without overshooting. Pinsker's inequality
+    D ≥ 2(p − p₂)² puts p − √(divergence/2) there. The climb ends when
+    rounding stops it or would carry it to p.
+    """
+    q = max(p - math.sqrt(divergence / 2.0), p * 1e-12)
+    while True:
+        excess = kl(p, q) - divergence
+        if excess <= 0.0:
+            return q
+        nxt = q + excess * q * (1.0 - q) / (p - q)
+        if not q < nxt < p:
+            return q
+        q = nxt
+
+
 def max_certified_extractability(query: CertificationQuery) -> CertificationReport:
-    """Largest 1−η certified at confidence 1−δ, by bisection on η.
+    """Largest 1−η certified at confidence 1−δ.
 
     η must satisfy both c·η > ε₁ = p_QM − P (the protocol's gap condition)
-    and confidence_bound ≤ δ. The bound decreases in η, so the smallest
-    feasible η is found by bisection to ETA_TOL; when even η = 1 fails, an
+    and confidence_bound ≤ δ. The bound is at most δ exactly when
+    D(P‖p₂) ≥ D* = −log1p(expm1(ln δ / N) / m); no D* exists when that
+    argument is at most −1. p₂ then solves D(P‖p₂) = D* by Newton's method,
+    and η = (p_QM − p₂)/c is raised by a doubling step from one ulp until
+    the bound, as evaluated, is at most δ. When even η = 1 fails, an
     infeasible report is returned rather than an exception.
     """
     epsilon1 = query.p_qm - query.pass_rate
@@ -139,19 +161,18 @@ def max_certified_extractability(query: CertificationQuery) -> CertificationRepo
             feasible=False,
         )
 
-    if eta_lo >= 1.0:
+    # expm1 and log1p keep δ^{1/N} − 1 exact where δ^{1/N} rounds to 1
+    shrink = math.expm1(math.log(query.delta) / query.n) / query.mu_meas
+    if eta_lo >= 1.0 or query.pass_rate == 0.0 or shrink <= -1.0:
         return infeasible()
-    if _delta_at_eta(query, 1.0) > query.delta:
+    p2 = _kl_root(query.pass_rate, -math.log1p(shrink))
+    eta = max((query.p_qm - p2) / c, eta_lo)
+    step = math.ulp(eta)
+    while eta <= 1.0 and _delta_at_eta(query, eta) > query.delta:
+        eta += step
+        step *= 2.0
+    if eta > 1.0:
         return infeasible()
-
-    lo, hi = eta_lo, 1.0
-    while hi - lo > ETA_TOL:
-        mid = (lo + hi) / 2.0
-        if _delta_at_eta(query, mid) <= query.delta:
-            hi = mid
-        else:
-            lo = mid
-    eta = hi
     return CertificationReport(
         certified_extractability=1.0 - eta,
         eta=eta,
@@ -160,40 +181,6 @@ def max_certified_extractability(query: CertificationQuery) -> CertificationRepo
         achieved_delta=_delta_at_eta(query, eta),
         feasible=True,
     )
-
-
-def min_samples(
-    delta: float,
-    eta: float,
-    pass_rate: float,
-    p_qm: float,
-    bound: SelfTestBound,
-) -> int:
-    """Smallest N with confidence_bound(N, (N−1)/N, P, p_QM − c·η) ≤ δ.
-
-    Scans integers upward from the continuous estimate ln δ / ln(e^{−D}),
-    which ignores the held-out copy and therefore starts slightly low.
-    """
-    check_delta(delta)
-    epsilon1 = p_qm - pass_rate
-    epsilon2 = bound.c * eta
-    if epsilon2 <= epsilon1:
-        raise ValueError(
-            f"epsilon2={epsilon2!r} must exceed epsilon1={epsilon1!r}; "
-            "requested extractability is not reachable at this pass rate"
-        )
-    if epsilon1 < -EPSILON1_TOL:
-        raise ValueError(f"pass rate {pass_rate!r} exceeds p_QM={p_qm!r}")
-    p2 = p_qm - epsilon2
-    divergence = kl(pass_rate, p2)
-    if divergence == math.inf:
-        start = 2
-    else:
-        start = max(2, math.ceil(math.log(delta) / -divergence) - 2)
-    n = start
-    while confidence_bound(n, (n - 1) / n, pass_rate, p2) > delta:
-        n += 1
-    return n
 
 
 def operator_context(operator: str):

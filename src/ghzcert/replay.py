@@ -5,11 +5,11 @@ Input is JSONL, one time-tagged coincidence per line:
     {"window_id": <uint64>, "input": [i1,i2,i3,i4], "t_ps": <uint64>,
      "outcomes": [o1,o2,o3,o4]}
 
-with inputs in {0,1} and outcomes in {-1,1}. Lines spelled exactly as
-:func:`events_to_jsonl` writes them (``json.dumps`` separators, this key order,
-integers below 10**18 without leading zeros) are read by one numeric scan per
-chunk instead of ``json.loads``; any other valid spelling gives the same
-events, and any invalid line the same error. All events of a window share one
+with inputs in {0,1} and outcomes in {-1,1}. Lines in the canonical spelling
+(``json.dumps`` default separators, this key order, integers below 10**18
+without leading zeros) are read by one numeric scan per chunk instead of
+``json.loads``; any other valid spelling gives the same events, and any
+invalid line the same error. All events of a window share one
 input (one acquisition per randomly chosen setting); timestamps are
 nondecreasing within a window. Two analysis modes mirror the two ways of
 turning acquisitions into game rounds: ``strict`` keeps one uniformly chosen
@@ -38,13 +38,12 @@ from .rng import TAG_HOLDOUT, TAG_SCORE, TAG_SELECT, TAG_SHUFFLE, rng_for
 from .selftest import SelfTestBound
 from .simulate import Transcript, certification_query, hold_out
 
-WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
 PARSE_CHUNK_LINES = 16_384  # lines decoded and turned into arrays at a time
 FIELDS = ("window_id", "input", "t_ps", "outcomes")
 MODES = ("strict", "decomposed")
 _FIELD_SET = frozenset(FIELDS)
 _UINT = r"(?:0|[1-9][0-9]{0,17})"  # below 10**18, so it fits int64
-_CANONICAL = re.compile(  # one line of events_to_jsonl, every value already in range
+_CANONICAL = re.compile(  # one canonically spelled line, every value already in range
     rf'\{{"window_id": {_UINT}, "input": \[[01], [01], [01], [01]\], "t_ps": {_UINT}, '
     r'"outcomes": \[-?1, -?1, -?1, -?1\]\}\n?')
 _NUMBERS_ONLY = str.maketrans({c: " " for c in map(chr, range(128)) if c not in "-0123456789"})
@@ -216,24 +215,3 @@ def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str =
         return transcript, None
     return transcript, max_certified_extractability(
         certification_query(transcript, game, bound, delta))
-
-
-def events_from_transcript(transcript: Transcript) -> Events:
-    """Synthetic event file content from a simulated transcript: each measured
-    round becomes a window of ``WINDOW_SPAN_PS`` holding one event at its start
-    (held-out rounds, never measured, leave none)."""
-    measured = ~transcript.held_out
-    n = int(np.count_nonzero(measured))
-    return Events(
-        window_id=np.arange(n, dtype=np.uint64),
-        t_ps=np.array([k * WINDOW_SPAN_PS for k in range(n)], dtype=np.uint64),  # raises past 2**64
-        inputs=transcript.inputs[measured],
-        outcomes=transcript.outcomes[measured],
-    )
-
-
-def events_to_jsonl(events: Events) -> str:
-    columns = (events.window_id, events.inputs, events.t_ps, events.outcomes)
-    return "\n".join(
-        json.dumps(dict(zip(FIELDS, row))) for row in zip(*(c.tolist() for c in columns))
-    ) + "\n"

@@ -6,9 +6,11 @@ The package assembles the self-testing certificate in batches
 U·blockdiag·U†. The scalar forms here follow Kaniewski's channel family
 (PRL 117, 070402, 2016) one Jordan angle and one party at a time, so the
 tests can check the batched assembly against a second derivation. The
-violation at arbitrary settings, the density-matrix check, the exhaustive
-classical bound and the functional writer serve the tests alone; no pipeline
-calls them.
+bisection on η and the integer scan for N invert the confidence bound a
+second way, against the package's closed-form inversion. The violation at
+arbitrary settings, the density-matrix check, the exhaustive classical bound,
+the functional writer and the event-file writer serve the tests alone; no
+pipeline calls them.
 """
 
 import itertools
@@ -18,10 +20,19 @@ import math
 import numpy as np
 
 from ghzcert.bell import BellFunctional, _validate_settings, term_operator
+from ghzcert.certification import (
+    CertificationQuery,
+    CertificationReport,
+    check_delta,
+    confidence_bound,
+    kl,
+)
 from ghzcert.quantum import expectation, hermitian_eigenvalues, is_hermitian
+from ghzcert.replay import FIELDS, Events
 from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
+    SelfTestBound,
     _certificate_tables,
     certificate_eigenvalues,
     certificate_operators,
@@ -29,9 +40,16 @@ from ghzcert.selftest import (
     evaluate_grid,
     open_grid,
 )
+from ghzcert.simulate import Transcript
 
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+# spec'd accuracy is 1e-6; bisect well past it so the N <-> eta round trip
+# stays exact at integer granularity even where d(delta)/d(eta) is steep
+ETA_TOL = 1e-12
+#: a pass rate above p_QM by at most this much is rounding, not an impossible rate
+EPSILON1_TOL = 1e-9
+WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
 
 
 def jordan_observable(alpha: float, setting: int, basis) -> np.ndarray:
@@ -170,3 +188,101 @@ def functional_to_json(functional: BellFunctional) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
+
+
+def _bisection_delta(query: CertificationQuery, eta: float) -> float:
+    p2 = max(query.p_qm - query.bound.c * eta, 0.0)
+    return confidence_bound(query.n, query.mu_meas, query.pass_rate, p2)
+
+
+def bisect_certified_extractability(query: CertificationQuery) -> CertificationReport:
+    """Largest 1−η certified at confidence 1−δ, by bisection on η.
+
+    η must satisfy both c·η > ε₁ = p_QM − P and confidence_bound ≤ δ. The
+    bound decreases in η, so the smallest feasible η is bracketed to ETA_TOL
+    and the bracket's upper end is reported; when even η = 1 fails, the
+    report is infeasible.
+    """
+    epsilon1 = query.p_qm - query.pass_rate
+    c = query.bound.c
+    eta_lo = max(epsilon1 / c, 0.0)
+    if eta_lo >= 1.0 or _bisection_delta(query, 1.0) > query.delta:
+        return CertificationReport(
+            certified_extractability=0.0,
+            eta=1.0,
+            epsilon1=epsilon1,
+            epsilon2=c,
+            achieved_delta=_bisection_delta(query, 1.0) if eta_lo < 1.0 else 1.0,
+            feasible=False,
+        )
+    lo, hi = eta_lo, 1.0
+    while hi - lo > ETA_TOL:
+        mid = (lo + hi) / 2.0
+        if _bisection_delta(query, mid) <= query.delta:
+            hi = mid
+        else:
+            lo = mid
+    return CertificationReport(
+        certified_extractability=1.0 - hi,
+        eta=hi,
+        epsilon1=epsilon1,
+        epsilon2=c * hi,
+        achieved_delta=_bisection_delta(query, hi),
+        feasible=True,
+    )
+
+
+def min_samples(
+    delta: float,
+    eta: float,
+    pass_rate: float,
+    p_qm: float,
+    bound: SelfTestBound,
+) -> int:
+    """Smallest N with confidence_bound(N, (N−1)/N, P, p_QM − c·η) ≤ δ.
+
+    Scans integers upward from the continuous estimate ln δ / ln(e^{−D}),
+    which ignores the held-out copy and therefore starts slightly low.
+    """
+    check_delta(delta)
+    epsilon1 = p_qm - pass_rate
+    epsilon2 = bound.c * eta
+    if epsilon2 <= epsilon1:
+        raise ValueError(
+            f"epsilon2={epsilon2!r} must exceed epsilon1={epsilon1!r}; "
+            "requested extractability is not reachable at this pass rate"
+        )
+    if epsilon1 < -EPSILON1_TOL:
+        raise ValueError(f"pass rate {pass_rate!r} exceeds p_QM={p_qm!r}")
+    p2 = p_qm - epsilon2
+    divergence = kl(pass_rate, p2)
+    if divergence == math.inf:
+        start = 2
+    else:
+        start = max(2, math.ceil(math.log(delta) / -divergence) - 2)
+    n = start
+    while confidence_bound(n, (n - 1) / n, pass_rate, p2) > delta:
+        n += 1
+    return n
+
+
+def events_from_transcript(transcript: Transcript) -> Events:
+    """Synthetic event file content from a simulated transcript: each measured
+    round becomes a window of ``WINDOW_SPAN_PS`` holding one event at its start
+    (held-out rounds, never measured, leave none)."""
+    measured = ~transcript.held_out
+    n = int(np.count_nonzero(measured))
+    return Events(
+        window_id=np.arange(n, dtype=np.uint64),
+        t_ps=np.array([k * WINDOW_SPAN_PS for k in range(n)], dtype=np.uint64),  # raises past 2**64
+        inputs=transcript.inputs[measured],
+        outcomes=transcript.outcomes[measured],
+    )
+
+
+def events_to_jsonl(events: Events) -> str:
+    """Events in the canonical spelling that ``parse_events`` reads by its fast path."""
+    columns = (events.window_id, events.inputs, events.t_ps, events.outcomes)
+    return "\n".join(
+        json.dumps(dict(zip(FIELDS, row))) for row in zip(*(c.tolist() for c in columns))
+    ) + "\n"

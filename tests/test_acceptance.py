@@ -39,16 +39,23 @@ from ghzcert.certification import (
     confidence_bound,
     kl,
     max_certified_extractability,
-    min_samples,
     noisy_pass_rate,
     operator_context,
 )
 from ghzcert.cli import dispatch
-from ghzcert.replay import events_from_transcript, events_to_jsonl, parse_events, replay
+from ghzcert.replay import parse_events, replay
 from ghzcert.rng import rng_for
 from ghzcert.selftest import published_bound
 from ghzcert.simulate import IIDNoisy, Transcript, run_protocol
-from reference import _evaluate, certificate_min_eig, check_density_matrix, classical_bound
+from reference import (
+    _evaluate,
+    certificate_min_eig,
+    check_density_matrix,
+    classical_bound,
+    events_from_transcript,
+    events_to_jsonl,
+    min_samples,
+)
 
 THREADS = min(4, os.cpu_count() or 1)
 CORNER_SLOPE = 7.0 / 32.0  # zero of 4s - 7/8, the all-zero corner's min eigenvalue

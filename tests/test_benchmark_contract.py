@@ -15,8 +15,9 @@ from pathlib import Path
 import ghzcert.cli
 from ghzcert.certification import operator_context
 from ghzcert.cli import dispatch
-from ghzcert.replay import MODES, events_from_transcript, events_to_jsonl
+from ghzcert.replay import MODES
 from ghzcert.simulate import IIDNoisy, run_protocol
+from reference import events_from_transcript, events_to_jsonl
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

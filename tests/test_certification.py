@@ -10,12 +10,12 @@ from ghzcert.certification import (
     confidence_bound,
     kl,
     max_certified_extractability,
-    min_samples,
     noisy_pass_rate,
     operator_context,
     sweep,
 )
 from ghzcert.selftest import extractability_bound
+from reference import bisect_certified_extractability, min_samples
 
 
 def _mermin_query(n, delta, pass_rate):
@@ -140,6 +140,48 @@ def test_certified_never_exceeds_asymptotic_ceiling():
             if report.feasible:
                 beta = (2 * p - 1) * 8.0
                 assert report.certified_extractability <= extractability_bound(beta, bound) + 1e-9
+
+
+def _random_queries(count, seed):
+    """Seeded queries over the three operators: N log-uniform in [2, 1e7], δ
+    log-uniform in [1e-300, 0.98], m one of (N−1)/N, uniform in (0, 1], or 1."""
+    rng = np.random.default_rng(seed)
+    contexts = [operator_context(op)[1:] for op in ("mermin", "baccari", "zhao")]
+    for k in range(count):
+        game, bound = contexts[k % 3]
+        n = int(round(10 ** rng.uniform(math.log10(2), 7)))
+        delta = float(10 ** rng.uniform(-300, math.log10(0.98)))
+        mu_meas = ((n - 1) / n, 1.0 - float(rng.random()), 1.0)[int(rng.integers(3))]
+        pass_rate = float(rng.uniform(game.p_qm - bound.c, min(game.p_qm + 0.01, 1.0)))
+        yield CertificationQuery(n=n, delta=delta, pass_rate=pass_rate, bound=bound,
+                                 p_qm=game.p_qm, mu_meas=mu_meas)
+
+
+def test_closed_form_inversion_matches_bisection():
+    feasible = 0
+    for q in _random_queries(2000, 16):
+        report = max_certified_extractability(q)
+        oracle = bisect_certified_extractability(q)
+        assert report.feasible == oracle.feasible, q
+        if not report.feasible:
+            continue
+        feasible += 1
+        gap = abs(report.certified_extractability - oracle.certified_extractability)
+        assert gap <= (1e-12 if q.n < 10**5 else 5e-12), q
+        assert report.achieved_delta <= q.delta, q
+    assert feasible > 500  # the draw reaches both branches
+
+
+def test_pass_rate_at_p_qm_certifies_near_one_at_huge_n():
+    # D* is about 1e-300, so p₂ rounds to P and η starts where no gap is left
+    for op in ("mermin", "baccari", "zhao"):
+        _, game, bound = operator_context(op)
+        report = max_certified_extractability(CertificationQuery(
+            n=10**300, delta=0.01, pass_rate=game.p_qm, bound=bound, p_qm=game.p_qm,
+            mu_meas=1.0))
+        assert report.feasible
+        assert report.achieved_delta <= 0.01
+        assert report.certified_extractability > 1.0 - 1e-12
 
 
 def test_min_samples_mermin_reference_point():

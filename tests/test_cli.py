@@ -15,7 +15,7 @@ import pytest
 import ghzcert
 from ghzcert.bell import get_functional, mermin_functional
 from ghzcert.cli import build_parser, dispatch
-from reference import functional_to_json
+from reference import events_from_transcript, events_to_jsonl, functional_to_json
 
 
 def run_cli(argv, capsys):
@@ -160,6 +160,7 @@ ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step",
         ["sweep", "--figure", "middle", "--eta", "nan"],
         ["bound", "--grid-step", "nan"],
         ["bound", "--grid-step", "inf"],
+        ["certify", "--n", "1" + "0" * 400, "--delta", "0.01", "--pass-rate", "0.97"],  # not a float
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
@@ -305,7 +306,6 @@ def test_replay_cli_round_trip(tmp_path, capsys):
          "--seed", "21", "--out", str(tmp_path / "t.jsonl")],
         capsys,
     )
-    from ghzcert.replay import events_to_jsonl, events_from_transcript
     from ghzcert.simulate import Transcript
 
     docs = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]

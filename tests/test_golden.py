@@ -21,20 +21,20 @@ SIMULATE_COMMON = ["--n", "200", "--nc", "3", "--seed", "4242", "--operator", "m
 SIMULATE_GOLDEN = {
     "iid": (["--source", "iid", "--alpha", "0.1"],
             "07cdbc655d58e07e61697a732e8e1b08048db1751005fa68aab3061340f57698",
-            "80b6c15f8f625c6bd51b579f4ae497283429fe6956aef94c10fa45b0e109dd3c"),
+            "fb5d9026c06b691fd18710136fc0cecbec84ff3acfd6087463a2d2b5095e975e"),
     "drifting": (["--source", "drifting", "--alpha", "0.02", "--alpha-end", "0.4"],
                  "9175c4a64b6987cfc916c8adaa9e9fc747937b41b9e766f83faae01d1f64e7d8",
-                 "2b21f2c8ac5e83a4a021a333bf33c5ca2b875cf6e2b1b5adf036cd1b2d340df6"),
+                 "c9dbf9f5006571e122ede9851e07e7f5c3e894676d3b9e170f10fa92effde963"),
     "block": (["--source", "block", "--alpha-good", "0.05", "--alpha-bad", "1.0",
                "--block-length", "7", "--bad-fraction", "0.3"],
               "52903592f19e85cf8c44cf7e2eb1124f49f1f4eebae6cfc0e6ba1b9f23f219c3",
-              "e27030a631234613464afb315c7276069c1657edc2775b34c7a363ef441a605c"),
+              "2ffeded968bec143d62fce91d22c7b5e78d4a884b5441d9a2c028b546f93be9c"),
 }
 
 EVENTS_DIGEST = "bba2fc9fe7ec4994fbf122732dc665c090851d61cb1169756625e851dd0ce05c"
 REPLAY_GOLDEN = {
-    "strict": "243350ded78f216c54e27ede7a46576b3b36bce50709c099231036868014aa84",
-    "decomposed": "94336264c0d5be55ad3daf07a329a5b8d9bee0daf5f1052ae00dc4e712c0abcb",
+    "strict": "8d2b6db83fb431b8bbf8b57c59e053b67d836b7405dad3da32cfb441962a53a0",
+    "decomposed": "d30cab2122fc7e6058ceb7c7e69403a5ef89930825bbfa61fe28805d866dd690",
 }
 
 

@@ -13,8 +13,6 @@ from ghzcert.certification import CertificationQuery, max_certified_extractabili
 from ghzcert.replay import (
     Events,
     decomposed,
-    events_from_transcript,
-    events_to_jsonl,
     hold_out,
     parse_events,
     replay,
@@ -22,6 +20,7 @@ from ghzcert.replay import (
 )
 from ghzcert.rng import TAG_HOLDOUT, rng_for
 from ghzcert.simulate import IIDNoisy, run_protocol
+from reference import events_from_transcript, events_to_jsonl
 
 REPLAY_MODULE = importlib.import_module("ghzcert.replay")  # ghzcert.replay is the function
 
