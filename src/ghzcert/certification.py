@@ -41,16 +41,16 @@ def kl(p1: float, p2: float) -> float:
         return 0.0
     if p2 in (0.0, 1.0):
         return math.inf
-    value = 0.0
+    value = 0.0  # log1p of each relative gap keeps D ~ (p1 − p2)² when p2 is near p1
     if p1 > 0.0:
-        value += p1 * math.log(p1 / p2)
+        value -= p1 * math.log1p((p2 - p1) / p1)
     if p1 < 1.0:
-        value += (1.0 - p1) * math.log((1.0 - p1) / (1.0 - p2))
+        value -= (1.0 - p1) * math.log1p((p1 - p2) / (1.0 - p1))
     return value
 
 
 def confidence_bound(n: int, mu_meas: float, p1: float, p2: float) -> float:
-    """Failure-probability bound (1 − m + m·e^{−D(p₁‖p₂)})^N.
+    """Failure-probability bound (1 − m + m·e^{−D(p₁‖p₂)})^N, as exp(N·log1p(m·expm1(−D))).
 
     Requires p1 > p2: the threshold must exceed the winning probability of
     states below the target extractability, otherwise no statistical gap
@@ -62,8 +62,8 @@ def confidence_bound(n: int, mu_meas: float, p1: float, p2: float) -> float:
         raise ValueError(f"measured fraction must be in (0, 1], got {mu_meas!r}")
     if p1 <= p2:
         raise ValueError(f"threshold p1={p1!r} must exceed p2={p2!r}")
-    base = 1.0 - mu_meas + mu_meas * math.exp(-kl(p1, p2))
-    return base**n
+    shrink = mu_meas * math.expm1(-kl(p1, p2))
+    return 0.0 if shrink <= -1.0 else math.exp(n * math.log1p(shrink))
 
 
 def check_delta(delta: float) -> None:

@@ -268,7 +268,7 @@ def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError) as exc:  # argument values and files the parser cannot check
+    except (ValueError, OSError, MemoryError) as exc:  # inputs the parser cannot check
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -89,8 +89,8 @@ class BlockCorrelated(_NoiseLaw):
         for a in (self.alpha_good, self.alpha_bad):
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"noise fraction must be in [0, 1], got {a!r}")
-        if self.block_length < 1:
-            raise ValueError(f"block length must be >= 1, got {self.block_length}")
+        if not 1 <= self.block_length < 2**63:  # block indices are int64
+            raise ValueError(f"block length must be in [1, 2**63), got {self.block_length}")
         if not 0.0 <= self.bad_fraction <= 1.0:
             raise ValueError(f"bad fraction must be in [0, 1], got {self.bad_fraction!r}")
 

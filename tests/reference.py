@@ -66,10 +66,10 @@ def jordan_observable(alpha: float, setting: int, basis) -> np.ndarray:
 def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None = None) -> np.ndarray:
     """Single-qubit channel Λ(ρ) = (1+g)/2·ρ + (1−g)/2·Γ ρ Γ.
 
-    Γ is σ₊ on [0, π/4] and σ₋ on (π/4, π/2]; ``branch`` overrides the choice
-    (only meaningful exactly at π/4). The channel is unital, trace preserving
-    and self-adjoint, so applying it to a projector is the same as applying
-    its adjoint.
+    Γ is σ₊ on [0, π/4] and σ₋ on (π/4, π/2]; ``branch`` overrides the choice.
+    At π/4, g = 1 and both branches give the identity. The channel is unital,
+    trace preserving and self-adjoint, so applying it to a projector is the
+    same as applying its adjoint.
     """
     if not 0.0 <= alpha <= HALF_PI:
         raise ValueError(f"Jordan angle {alpha!r} outside [0, pi/2]")

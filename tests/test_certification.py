@@ -43,6 +43,8 @@ def test_kl_endpoint_conventions():
     assert kl(0.5, 0.0) == math.inf
     assert kl(0.5, 1.0) == math.inf
     assert kl(1.0, 1.0) == 0.0
+    # an infinite divergence with every copy measured leaves no failure probability
+    assert confidence_bound(5, 1.0, 0.5, 0.0) == 0.0
 
 
 def test_kl_nonnegative_randomized():
@@ -60,6 +62,15 @@ def test_kl_rejects_non_probabilities():
         kl(1.2, 0.5)
     with pytest.raises(ValueError):
         kl(0.5, -0.1)
+
+
+def test_kl_and_bound_keep_precision_near_equal_arguments():
+    # D(1/2 ‖ 1/2 + d) = −log1p(−4d²)/2; log of the probability ratios cancels to ~1e-16
+    d = 2.0**-40
+    assert kl(0.5, 0.5 + d) == pytest.approx(-0.5 * math.log1p(-4 * d * d), rel=1e-3)
+    # at m = 1 the bound is exp(−N·D); a float power of 1 − D loses ~N·ε
+    n, p1, p2 = 10**12, 0.7, 0.7 - 1e-7
+    assert confidence_bound(n, 1.0, p1, p2) == pytest.approx(math.exp(-n * kl(p1, p2)), rel=1e-12)
 
 
 def test_confidence_bound_near_degenerate_gap():
@@ -182,6 +193,15 @@ def test_pass_rate_at_p_qm_certifies_near_one_at_huge_n():
         assert report.feasible
         assert report.achieved_delta <= 0.01
         assert report.certified_extractability > 1.0 - 1e-12
+
+
+def test_eta_one_gap_of_1e_15_is_infeasible():
+    # η = 1 leaves p₁ − p₂ = 1e-15, so D ≈ 3e-30 and the bound is 1 − O(1e-30) > δ
+    _, game, bound = operator_context("baccari")
+    report = max_certified_extractability(CertificationQuery(
+        n=3, delta=1 - 1e-16, pass_rate=game.p_qm - bound.c + 1e-15, bound=bound,
+        p_qm=game.p_qm, mu_meas=1.0))
+    assert not report.feasible
 
 
 def test_min_samples_mermin_reference_point():

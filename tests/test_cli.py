@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import ghzcert
-from ghzcert.bell import get_functional, mermin_functional
+from ghzcert.bell import get_functional, mermin_functional, to_game
 from ghzcert.cli import build_parser, dispatch
+from ghzcert.simulate import IIDNoisy, run_protocol
 from reference import events_from_transcript, events_to_jsonl, functional_to_json
 
 
@@ -161,6 +162,9 @@ ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step",
         ["bound", "--grid-step", "nan"],
         ["bound", "--grid-step", "inf"],
         ["certify", "--n", "1" + "0" * 400, "--delta", "0.01", "--pass-rate", "0.97"],  # not a float
+        ["bound", "--grid-step", "1e-320"],  # π/2 over it overflows to inf
+        ["simulate", "--source", "block", "--block-length", str(2**63), "--n", "10"],
+        ["simulate", "--n", str(2**62)],  # 4 EiB of rounds
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
@@ -176,6 +180,76 @@ def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
     assert out.count("\n") == 1
     assert set(json.loads(out)) == {"error"}
     assert all(name in json.loads(out)["error"] for name in names)
+
+
+#: zero, signs, non-finite, subnormal, the int64 and uint64 edges and beyond, text, empty
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-320", str(2**62), str(2**63),
+               str(2**64), str(10**30), "text", "")
+
+#: (valid argv, the flags whose values are replaced). bound stays on the π/4
+#: grid: every fuzz value is an invalid step, and a valid fine one runs for hours
+FUZZ_BASES = (
+    (["bound", "--grid-step", repr(math.pi / 4), "--slack", "1e-9", "--threads", "1",
+      "--s-tol", "1e-4"], ("--grid-step", "--slack", "--threads", "--s-tol")),
+    (["certify", "--n", "4643", "--delta", "0.01", "--pass-rate", "0.973", "--mu-meas", "0.5"],
+     ("--n", "--delta", "--pass-rate", "--mu-meas")),
+    (["simulate", "--n", "50", "--nc", "1", "--alpha", "0.05", "--delta", "0.01", "--seed", "3"],
+     ("--n", "--nc", "--alpha", "--delta", "--seed")),
+    (["simulate", "--source", "drifting", "--n", "50", "--alpha-end", "0.2"], ("--alpha-end",)),
+    (["simulate", "--source", "block", "--n", "50", "--alpha-good", "0.05", "--alpha-bad", "1",
+      "--block-length", "7", "--bad-fraction", "0.3"],
+     ("--alpha-good", "--alpha-bad", "--block-length", "--bad-fraction")),
+    (["sweep", "--figure", "right", "--alpha", "0.05", "--delta", "0.01"], ("--alpha", "--delta")),
+    (["sweep", "--figure", "middle", "--eta", "0.25"], ("--eta",)),
+    (["sweep", "--figure", "fig4", "--pass-rate", "0.97"], ("--pass-rate",)),
+    (["replay", "--input", "{events}", "--delta", "0.01", "--seed", "5"],
+     ("--input", "--delta", "--seed")),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_argv_fuzz_keeps_exit_and_output_contract(tmp_path, capsys, monkeypatch):
+    """Every flag value of FUZZ_VALUES in every flag of FUZZ_BASES, one flag at a
+    time: exit 0, 1 or 2 and no exception; strict JSON (CSV for sweep), or one
+    {"error"} line on exit 2; the parser's own rejections print nothing to stdout."""
+    monkeypatch.chdir(tmp_path)  # the fuzz values name no existing --input file
+    transcript, _ = run_protocol(IIDNoisy(0.05), to_game(mermin_functional()), n_rounds=60,
+                                 seed=3)
+    events = tmp_path / "events.jsonl"
+    events.write_text(events_to_jsonl(events_from_transcript(transcript)))
+    failures = []
+    for base, flags in FUZZ_BASES:
+        base = [a.format(events=events) for a in base]
+        for flag, value in ((f, v) for f in flags for v in FUZZ_VALUES):
+            argv = list(base)
+            argv[argv.index(flag) + 1] = value
+            try:
+                code, parsed = dispatch(argv), True
+            except SystemExit as exc:
+                code, parsed = exc.code, False
+            except Exception as exc:  # every escape is a finding
+                capsys.readouterr()
+                failures.append(f"{argv}: {exc!r}")
+                continue
+            out = capsys.readouterr().out
+            try:
+                assert code in (0, 1, 2)
+                if not parsed:
+                    assert code == 2 and out == ""
+                elif code == 2:
+                    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+                elif argv[0] == "sweep":
+                    lines = out.splitlines()
+                    assert lines[0] == "x,value,operator"
+                    assert all(len(line.split(",")) == 3 for line in lines[1:])
+                else:
+                    json.loads(out, parse_constant=_reject_constant)
+            except (AssertionError, ValueError) as exc:
+                failures.append(f"{argv}: exit {code}, {exc!r}, stdout {out[:200]!r}")
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize(

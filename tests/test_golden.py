@@ -21,20 +21,20 @@ SIMULATE_COMMON = ["--n", "200", "--nc", "3", "--seed", "4242", "--operator", "m
 SIMULATE_GOLDEN = {
     "iid": (["--source", "iid", "--alpha", "0.1"],
             "07cdbc655d58e07e61697a732e8e1b08048db1751005fa68aab3061340f57698",
-            "fb5d9026c06b691fd18710136fc0cecbec84ff3acfd6087463a2d2b5095e975e"),
+            "5682a32491e33112f8ee7300599a1a1a9b67eafe063d9f3e98f397aee87809c2"),
     "drifting": (["--source", "drifting", "--alpha", "0.02", "--alpha-end", "0.4"],
                  "9175c4a64b6987cfc916c8adaa9e9fc747937b41b9e766f83faae01d1f64e7d8",
-                 "c9dbf9f5006571e122ede9851e07e7f5c3e894676d3b9e170f10fa92effde963"),
+                 "61589775f040881d57b99d675ed2ed1e418c9017a334519f1d99a94afe512647"),
     "block": (["--source", "block", "--alpha-good", "0.05", "--alpha-bad", "1.0",
                "--block-length", "7", "--bad-fraction", "0.3"],
               "52903592f19e85cf8c44cf7e2eb1124f49f1f4eebae6cfc0e6ba1b9f23f219c3",
-              "2ffeded968bec143d62fce91d22c7b5e78d4a884b5441d9a2c028b546f93be9c"),
+              "b44b1b3dab84ff5e70cac91b20ae541c5ea5d7fdb6b2ac6cce2d27dec284bf4a"),
 }
 
 EVENTS_DIGEST = "bba2fc9fe7ec4994fbf122732dc665c090851d61cb1169756625e851dd0ce05c"
 REPLAY_GOLDEN = {
-    "strict": "8d2b6db83fb431b8bbf8b57c59e053b67d836b7405dad3da32cfb441962a53a0",
-    "decomposed": "d30cab2122fc7e6058ceb7c7e69403a5ef89930825bbfa61fe28805d866dd690",
+    "strict": "1ba27fc1b29df6e0307040775b39a6749000a0b2b8880cadd6df5602f9f35b3e",
+    "decomposed": "2aecb4429bb7365389556704d5bbcb504aad4b91e9136d2d543725065e9a579c",
 }
 
 

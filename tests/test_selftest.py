@@ -22,12 +22,15 @@ from ghzcert.selftest import (
     BoundSearchError,
     SelfTestBound,
     _certificate_tables,
+    _grid_indices,
     angle_nodes,
     bound_search,
     channel_weight,
     certificate_eigenvalues,
+    certificate_operators,
     extractability_bound,
     is_party_symmetric,
+    open_grid,
     published_bound,
     sigma_basis,
     slope_thresholds,
@@ -298,12 +301,70 @@ def test_party_symmetry_detection():
     assert not is_party_symmetric(zhao_functional())
 
 
-def test_angle_nodes_duplicate_quarter_pi():
-    angles, branches = angle_nodes(math.pi / 24)
-    at_quarter = np.isclose(angles, QUARTER)
-    assert at_quarter.sum() == 2
-    assert sorted(branches[at_quarter]) == [-1, 1]
+def test_angle_nodes_hold_quarter_pi_once():
+    angles = angle_nodes(math.pi / 24)
+    assert np.all(np.diff(angles) > 0)
+    assert np.isclose(angles, QUARTER).sum() == 1
     assert angles[0] == 0.0 and angles[-1] == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_branch_at_quarter_pi_leaves_operators_unchanged(operator):
+    """g(π/4) = 1 makes the channel the identity on either branch: flipping the
+    branches of the parties at the π/4 node moves K by rounding and leaves B equal."""
+    f = get_functional(operator)
+    rng = np.random.default_rng(25)
+    angles, branches = _random_points(rng, 200)
+    at_quarter = rng.random(angles.shape) < 0.5
+    angles[at_quarter] = angle_nodes(math.pi / 12)[3]
+    flipped = np.where(at_quarter, -branches, branches)
+    (k_op, b_op), (k_flip, b_flip) = (
+        certificate_operators(angles, b, f) for b in (branches, flipped)
+    )
+    assert np.max(np.abs(k_op - k_flip)) <= 1e-15
+    assert np.array_equal(b_op, b_flip)
+
+
+@pytest.mark.parametrize(
+    "operator, pi_over, size",
+    [
+        ("mermin", 24, 1820),
+        ("zhao", 12, 2401),
+        ("mermin", 60, 46376),
+        ("zhao", 60, 923521),
+        ("baccari", 60, 923521),
+    ],
+)
+def test_open_grid_sizes(operator, pi_over, size):
+    with open_grid(get_functional(operator), math.pi / pi_over, 1) as grid:
+        assert grid.indices.shape == (size, 4)
+
+
+def _branch_resolved_points(functional, grid_step):
+    """The grid before nodes were single angles: π/4 twice, once per branch,
+    as (angles, branches) arrays of shape (points, 4)."""
+    nodes = angle_nodes(grid_step)
+    mid = len(nodes) // 2
+    angles = np.insert(nodes, mid + 1, nodes[mid])
+    branches = np.where(np.arange(len(angles)) <= mid, 1, -1)
+    rows = _grid_indices(len(angles), 4, is_party_symmetric(functional))
+    return angles[rows], branches[rows]
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+@pytest.mark.parametrize("grid_step", [math.pi / 12, math.pi / 24], ids=["pi/12", "pi/24"])
+def test_grid_matches_branch_resolved_grid(operator, grid_step):
+    """Dropping the σ₋ copy of the π/4 node keeps the largest threshold and the
+    certificate minimum at it, up to rounding."""
+    f = get_functional(operator)
+    result = bound_search(f, grid_step=grid_step, threads=2)
+    angles, branches = _branch_resolved_points(f, grid_step)
+    parts = -(-len(angles) // 4096)  # bounds the memory of a threshold batch
+    chunks = list(zip(np.array_split(angles, parts), np.array_split(branches, parts)))
+    s = max(slope_thresholds(a, b, f).max() for a, b in chunks)
+    assert abs(result.bound.s - s) <= 1e-14
+    minimum = min(certificate_eigenvalues(result.bound.s, a, b, f).min() for a, b in chunks)
+    assert abs(result.min_eig - minimum) <= 1e-14
 
 
 def test_snap_grid_step_accepts_rounded_values():
@@ -464,7 +525,7 @@ def test_bound_search_rejects_slope_failing_verification(monkeypatch):
 
 
 def test_bound_search_thread_count_invariant():
-    """Two threshold chunks (4096 zhao points) and one shared pool per search."""
+    """Eight threshold chunks (2401 zhao points) and one shared pool per search."""
     f = zhao_functional()
     ref = bound_search(f, grid_step=math.pi / 12, threads=1)
     for threads in (2, 3):
