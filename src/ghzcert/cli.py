@@ -236,7 +236,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.input, encoding="utf-8") as handle:
+    with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
         events = parse_events(handle)
     functional, game, bound = operator_context(args.operator)
     transcript, report = replay(events, game, bound, mode=args.mode, delta=args.delta,

@@ -5,11 +5,12 @@ Input is JSONL, one time-tagged coincidence per line:
     {"window_id": <uint64>, "input": [i1,i2,i3,i4], "t_ps": <uint64>,
      "outcomes": [o1,o2,o3,o4]}
 
-with inputs in {0,1} and outcomes in {-1,1}. Lines in the canonical spelling
-(``json.dumps`` default separators, this key order, integers below 10**18
-without leading zeros) are read by one numeric scan per chunk instead of
-``json.loads``; any other valid spelling gives the same events, and any
-invalid line the same error. All events of a window share one
+with inputs in {0,1} and outcomes in {-1,1}. Each chunk of lines becomes
+arrays by one unsigned numeric scan. Lines in the canonical spelling
+(``json.dumps`` default separators, this key order, integers below 10**19
+without leading zeros) are scanned as they are; any other line is decoded by
+``json.loads``, checked, and respelled as its ten numbers first, so every valid
+spelling gives the same events. All events of a window share one
 input (one acquisition per randomly chosen setting); timestamps are
 nondecreasing within a window. Two analysis modes mirror the two ways of
 turning acquisitions into game rounds: ``strict`` keeps one uniformly chosen
@@ -27,8 +28,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from functools import partial
-from itertools import chain, compress, islice
+from itertools import islice, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,12 +42,15 @@ from .simulate import Transcript, certification_query, hold_out
 PARSE_CHUNK_LINES = 16_384  # lines decoded and turned into arrays at a time
 FIELDS = ("window_id", "input", "t_ps", "outcomes")
 MODES = ("strict", "decomposed")
-_FIELD_SET = frozenset(FIELDS)
-_UINT = r"(?:0|[1-9][0-9]{0,17})"  # below 10**18, so it fits int64
+_FIELD_VALUES = itemgetter(*FIELDS)
+_UINT = r"(?:0|[1-9][0-9]{0,18})"  # below 10**19 < 2**64, so it fits uint64
 _CANONICAL = re.compile(  # one canonically spelled line, every value already in range
     rf'\{{"window_id": {_UINT}, "input": \[[01], [01], [01], [01]\], "t_ps": {_UINT}, '
     r'"outcomes": \[-?1, -?1, -?1, -?1\]\}\n?')
-_NUMBERS_ONLY = str.maketrans({c: " " for c in map(chr, range(128)) if c not in "-0123456789"})
+_SETTINGS = {q: "%d %d %d %d" % q for q in product((0, 1), repeat=4)}  # valid input -> its text
+_SIGNS = {q: "%d %d %d %d" % q for q in product((-1, 1), repeat=4)}  # valid outcomes -> its text
+_NUMBERS_ONLY = str.maketrans(  # other ASCII to spaces, and "-" to "2": "-1" reads 21
+    {c: "2" if c == "-" else " " for c in map(chr, range(128)) if c not in "0123456789"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,35 +70,43 @@ class Events:
             map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
-def _uint64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 array of the integers in [0, 2**64) (0 elsewhere), and where they
-    are; a bool (JSON true/false) is no integer here."""
-    column = np.fromiter(values, dtype=object, count=len(values))
-    ok = np.fromiter(map(type, column), dtype=object, count=len(values)) == int
-    ok[ok] = (column[ok] >= 0) & (column[ok] < 2**64)
-    return np.where(ok, column, 0).astype(np.uint64), ok
+def _respell(line) -> str:
+    """A line outside the canonical spelling as its record's ten numbers in
+    canonical order, newline-terminated; ValueError for the line's first fault."""
+    if isinstance(line, bytes):
+        line = line.decode(errors="surrogateescape")
+    try:
+        line.encode()
+    except UnicodeEncodeError:  # a lone surrogate: an undecodable byte of the file
+        raise ValueError("not valid UTF-8") from None
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected an object")
+    try:
+        window_id, inputs, t_ps, outcomes = _FIELD_VALUES(doc)
+    except KeyError as exc:  # the first missing field in FIELDS order
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    if type(window_id) is not int or not 0 <= window_id < 2**64:  # a bool is no integer here
+        raise ValueError("window_id must be a nonnegative integer below 2**64")
+    if type(t_ps) is not int or not 0 <= t_ps < 2**64:
+        raise ValueError("t_ps must be a nonnegative integer below 2**64")
+    if (settings := _quad_text(inputs, _SETTINGS)) is None:
+        raise ValueError("input must be four settings in {0,1}")
+    if (signs := _quad_text(outcomes, _SIGNS)) is None:
+        raise ValueError("outcomes must be four values in {-1,1}")
+    return f"{window_id} {settings} {t_ps} {signs}\n"
 
 
-def _quad_column(rows: list, allowed: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """int8 (n, 4) array of the four-entry lists with entries in ``allowed``
-    (0 elsewhere), and where they are; a bool entry equals 0 or 1 but is no entry."""
-    ok = np.fromiter((type(r) is list and len(r) == 4 for r in rows), dtype=bool, count=len(rows))
-    entries = np.fromiter(chain.from_iterable(compress(rows, ok)), dtype=object).reshape(-1, 4)
-    not_bool = np.fromiter(map(type, entries.flat), dtype=object, count=entries.size) != bool
-    valid = (((entries == allowed[0]) | (entries == allowed[1]))
-             & not_bool.reshape(-1, 4)).all(axis=1)
-    column = np.zeros((len(rows), 4), dtype=np.int8)
-    column[np.flatnonzero(ok)[valid]] = entries[valid].astype(np.int8)
-    ok[ok] = valid
-    return column, ok
-
-
-_COLUMNS = (  # per Events field: the record key, its parser and the error for a bad value
-    ("window_id", _uint64_column, "window_id must be a nonnegative integer below 2**64"),
-    ("t_ps", _uint64_column, "t_ps must be a nonnegative integer below 2**64"),
-    ("input", partial(_quad_column, allowed=(0, 1)), "input must be four settings in {0,1}"),
-    ("outcomes", partial(_quad_column, allowed=(-1, 1)), "outcomes must be four values in {-1,1}"),
-)
+def _quad_text(values, texts: dict) -> str | None:
+    """The text of ``values`` in ``texts``, which is keyed by tuples, or None if
+    it is not there; a bool equals 0 or 1 but is no entry."""
+    try:
+        return None if bool in map(type, values) else texts.get(tuple(values))
+    except TypeError:  # not iterable, or an unhashable entry
+        return None
 
 
 def _parse_chunk(lines: list, first: int) -> tuple[Events, np.ndarray, ValueError | None]:
@@ -102,40 +114,27 @@ def _parse_chunk(lines: list, first: int) -> tuple[Events, np.ndarray, ValueErro
     that line's error; ``first`` is the number of ``lines[0]``."""
     try:  # line by line, as joined lines could match
         canonical = all(map(_CANONICAL.fullmatch, lines))
-    except TypeError:  # bytes lines, left to json.loads
+    except TypeError:  # bytes lines, all respelled
         canonical = False
-    if canonical:
-        text = "".join(lines).translate(_NUMBERS_ONLY)
-        table = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(lines), 10)
-        part = Events(table[:, 0].astype(np.uint64), table[:, 5].astype(np.uint64),
-                      table[:, 1:5].astype(np.int8), table[:, 6:].astype(np.int8))
-        return part, first + np.arange(len(lines), dtype=np.int64), None
-    docs, linenos, problem = [], [], None
-    for lineno, line in enumerate(lines, start=first):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problem = f"not valid JSON ({exc.msg})"
-        else:
-            if not isinstance(doc, dict):
-                problem = "expected an object"
-            elif not doc.keys() >= _FIELD_SET:
-                problem = f"missing field {next(key for key in FIELDS if key not in doc)!r}"
-        if problem:
-            break
-        docs.append(doc)
-        linenos.append(lineno)
-    error = ValueError(f"line {lineno}: {problem}") if problem else None
-    columns, oks = zip(*(column([d[key] for d in docs]) for key, column, _ in _COLUMNS))
-    good = np.logical_and.reduce(oks)
-    end = len(docs) if good.all() else int(np.argmin(good))
-    if end < len(docs):
-        message = next(text for ok, (_, _, text) in zip(oks, _COLUMNS) if not ok[end])
-        error = ValueError(f"line {linenos[end]}: {message}")
-    part = Events(*(c[:end] for c in columns))
-    return part, np.array(linenos[:end], dtype=np.int64), error
+    linenos, error = np.arange(first, first + len(lines)), None
+    if not canonical:
+        kept, linenos = [], []
+        for lineno, line in enumerate(lines, start=first):
+            if not line.strip():
+                continue
+            try:
+                kept.append(line if isinstance(line, str) and _CANONICAL.fullmatch(line)
+                            else _respell(line))
+            except ValueError as exc:
+                error = ValueError(f"line {lineno}: {exc}")
+                break
+            linenos.append(lineno)
+        lines = kept
+    text = "".join(lines).translate(_NUMBERS_ONLY)  # ten numbers per line: sized up front
+    table = np.fromstring(text, dtype=np.uint64, count=10 * len(lines), sep=" ").reshape(-1, 10)
+    part = Events(table[:, 0].copy(), table[:, 5].copy(), table[:, 1:5].astype(np.int8),
+                  np.where(table[:, 6:] == 1, 1, -1).astype(np.int8))
+    return part, np.asarray(linenos, dtype=np.int64), error
 
 
 def _check_windows(events: Events, lineno: np.ndarray) -> None:
@@ -154,12 +153,12 @@ def _check_windows(events: Events, lineno: np.ndarray) -> None:
 
 
 def parse_events(stream) -> Events:
-    """Parse and validate a JSONL stream (any iterable of lines), turning each
-    ``PARSE_CHUNK_LINES`` lines into arrays before reading more. A chunk whose
-    lines are all in the canonical spelling skips ``json.loads``; the events
-    and errors are the same either way. Raises
-    ValueError for the first offending record, naming its line number (blank
-    lines count) and, for inconsistent inputs or decreasing timestamps, its window.
+    """Parse and validate a JSONL stream (any iterable of str or UTF-8 bytes
+    lines), turning each ``PARSE_CHUNK_LINES`` lines into arrays before reading
+    more. Only lines outside the canonical spelling go through ``json.loads``;
+    the events and errors are the same either way. Raises ValueError for the
+    first offending record, naming its line number (blank lines count) and, for
+    inconsistent inputs or decreasing timestamps, its window.
     """
     lines, first, chunks = iter(stream), 1, [_parse_chunk([], 1)]
     while chunks[-1][2] is None and (chunk := list(islice(lines, PARSE_CHUNK_LINES))):

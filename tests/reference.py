@@ -192,6 +192,8 @@ def functional_to_json(functional: BellFunctional) -> str:
 
 def _bisection_delta(query: CertificationQuery, eta: float) -> float:
     p2 = max(query.p_qm - query.bound.c * eta, 0.0)
+    if p2 >= query.pass_rate:  # no statistical gap: only the trivial bound holds
+        return 1.0
     return confidence_bound(query.n, query.mu_meas, query.pass_rate, p2)
 
 

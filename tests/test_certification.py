@@ -183,6 +183,18 @@ def test_closed_form_inversion_matches_bisection():
     assert feasible > 500  # the draw reaches both branches
 
 
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("op, pass_rate", [("mermin", 0.6666666666666667),
+                                           ("baccari", 0.7684672834528476)])
+def test_closed_form_and_bisection_agree_where_eta_one_leaves_no_gap(op, pass_rate, n):
+    # P is p_QM − c as computed, but η_lo = (p_QM − P)/c rounds below 1
+    _, game, bound = operator_context(op)
+    q = CertificationQuery(n=n, delta=0.01, pass_rate=pass_rate, bound=bound, p_qm=game.p_qm,
+                           mu_meas=(n - 1) / n)
+    assert not max_certified_extractability(q).feasible
+    assert not bisect_certified_extractability(q).feasible
+
+
 def test_pass_rate_at_p_qm_certifies_near_one_at_huge_n():
     # D* is about 1e-300, so p₂ rounds to P and η starts where no gap is left
     for op in ("mermin", "baccari", "zhao"):

@@ -114,7 +114,7 @@ IDEAL_SETTINGS_FILES = {
 }
 BAD_OPERATOR_FILES.update(IDEAL_SETTINGS_FILES)
 #: argv tokens whose usage error must name the field or flag at fault
-ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step",
+ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step", "{not_utf8}": "line 2: not valid UTF-8",
                **{f"{{{name}}}": "ideal_settings" for name in IDEAL_SETTINGS_FILES}}
 
 
@@ -165,11 +165,15 @@ ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step",
         ["bound", "--grid-step", "1e-320"],  # π/2 over it overflows to inf
         ["simulate", "--source", "block", "--block-length", str(2**63), "--n", "10"],
         ["simulate", "--n", str(2**62)],  # 4 EiB of rounds
+        ["replay", "--input", "{not_utf8}"],  # a 0xff byte on line 2
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
-    paths = {"missing": tmp_path / "missing.json", "empty": tmp_path / "empty.jsonl"}
+    paths = {"missing": tmp_path / "missing.json", "empty": tmp_path / "empty.jsonl",
+             "not_utf8": tmp_path / "not_utf8.jsonl"}
     paths["empty"].write_text("")
+    paths["not_utf8"].write_bytes(b'{"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 0, '
+                                  b'"outcomes": [1, 1, 1, 1]}\n{"window_id": \xff}\n')
     for name, text in BAD_OPERATOR_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

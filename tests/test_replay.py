@@ -141,6 +141,15 @@ _LINES = [canonical(w, t_ps=t) for t in range(3) for w in range(3)]  # 9 lines
 _WITH_ID = [canonical(1), *(canonical(w, t_ps=10**17 + 1) for w in (
     10**18 - 1, 10**18, 12_345_678_901_234_567_890, 2**64 - 1))]
 _SPLIT = canonical(2)
+_LOSING = [canonical(w, t_ps=t, outcomes=LOSE) for t in range(3) for w in range(3)]
+_EDGES = {"10**18": 10**18, "10**19 - 1": 10**19 - 1, "10**19": 10**19,
+          "2**64 - 1": 2**64 - 1, "2**64": 2**64}
+
+
+def compact(line):
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
 PARSE_PATH_INPUTS = {
     "canonical": _LINES,
     "canonical, inconsistent window": _LINES + [canonical(1, 5, input=(1, 1, 0, 0))],
@@ -161,6 +170,13 @@ PARSE_PATH_INPUTS = {
     # lines 1 and 2-3 join into canonical text, but neither line is a record
     "two records, then one split": [_LINES[0].rstrip("\n") + _LINES[1], _SPLIT[:30], _SPLIT[30:]],
     "bytes lines": [line.encode() for line in _LINES],
+    # canonical lines without their newline, each next to a line that is respelled
+    "canonical unterminated, compact": [line.rstrip("\n") if k % 2 else compact(line)
+                                        for k, line in enumerate(_LOSING)],
+    "bytes line, invalid UTF-8": [line.encode() for line in _LINES] + [b'{"window_id": \xff}\n'],
+    "lone surrogate": _LINES + [json.dumps({**event(4), "x": "\udcff"}, ensure_ascii=False)],
+    **{f"window_id {name}": _LINES + [canonical(value, t_ps=7)] for name, value in _EDGES.items()},
+    **{f"t_ps {name}": _LINES + [canonical(4, t_ps=value)] for name, value in _EDGES.items()},
 }
 
 
@@ -190,12 +206,34 @@ def test_parse_canonical_fast_path_agrees_with_json(name, chunk, monkeypatch):
 def test_parse_fast_path_reads_what_events_to_jsonl_writes():
     transcript, _ = run_protocol(IIDNoisy(0.3), MERMIN_GAME, n_rounds=201, n_cert=1, seed=62)
     events = events_from_transcript(transcript)
-    top = Events(np.array([10**18 - 1], dtype=np.uint64), np.array([10**18 - 1], dtype=np.uint64),
+    top = Events(np.array([10**19 - 1], dtype=np.uint64), np.array([10**19 - 1], dtype=np.uint64),
                  np.ones((1, 4), dtype=np.int8), -np.ones((1, 4), dtype=np.int8))
     for table in (events, top):
         lines = events_to_jsonl(table).splitlines(keepends=True)
         assert all(map(REPLAY_MODULE._CANONICAL.fullmatch, lines))
         assert parse_events(lines) == table
+
+
+def test_parse_scans_19_digit_canonical_lines_without_respelling(monkeypatch):
+    def respell(line):
+        raise AssertionError(f"respelled {line!r}")
+
+    monkeypatch.setattr(REPLAY_MODULE, "_respell", respell)
+    lines = [canonical(10**19 - 1 - w, t_ps=10**18 + t, outcomes=LOSE)
+             for t in range(3) for w in range(3)]
+    events = parse_events(lines)
+    assert events.window_id.tolist() == [10**19 - 1 - w for _ in range(3) for w in range(3)]
+    assert events.t_ps.tolist() == [10**18 + t for t in range(3) for _ in range(3)]
+    assert (events.outcomes == np.array(LOSE)).all()
+
+
+def test_parse_names_the_line_that_is_not_utf8():
+    good = canonical(0).encode()
+    bad = json.dumps(event(1)).encode().replace(b"}", b', "note": "\xff"}') + b"\n"
+    with pytest.raises(ValueError, match=r"^line 2: not valid UTF-8$"):
+        parse_events([good, bad])  # bytes lines
+    with pytest.raises(ValueError, match=r"^line 2: not valid UTF-8$"):
+        parse_events([line.decode(errors="surrogateescape") for line in (good, bad)])
 
 
 def test_strict_select_identity_for_single_event_windows():
