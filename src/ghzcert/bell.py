@@ -8,6 +8,7 @@ measurement settings that reach their quantum bounds on the GHZ state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -266,6 +267,7 @@ OPERATORS = {
 }
 
 
+@functools.cache  # one instance per name, so per-functional caches hit across calls
 def get_functional(name: str) -> BellFunctional:
     try:
         return OPERATORS[name]()
@@ -301,7 +303,10 @@ def functional_from_json(text: str) -> BellFunctional:
     (finite coefficient, settings of 0, 1 or null), finite beta_q, beta_c and
     beta_alg, and ideal_settings, matrices as rows of finite [re, im] pairs. A
     missing field or one of the wrong JSON type raises ValueError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("functional JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("functional JSON must be an object")
     try:

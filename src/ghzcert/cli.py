@@ -173,6 +173,8 @@ def _cmd_bound(args) -> int:
         "mu": result.bound.mu,
         "c": result.bound.c,
         "grid_step": step,
+        "points": result.points,
+        "group_order": result.group_order,
         "worst_point": list(result.worst_point),
         "min_eig": result.min_eig,
         "refined": args.refine,

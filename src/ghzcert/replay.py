@@ -83,6 +83,8 @@ def _respell(line) -> str:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("not valid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise ValueError("expected an object")
     try:

@@ -11,11 +11,24 @@ is positive semidefinite, each grid point has a closed-form smallest feasible
 slope, the generalized eigenvalue λ_max(C^{-1/2}(𝟙 − K)C^{-1/2})
 (``slope_thresholds``). ``bound_search`` takes the maximum threshold over the
 grid in one pass and checks it with one certificate pass (``evaluate_grid``).
-Both passes, and ``--refine``'s sub-grids, are tasks on one pool: each task
-carries its node angles and node-index rows, the workers hold only the
-functional, and every chunk returns its values in grid order. The parent takes every reduction (the
+Both passes, and ``--refine``'s sub-grids, are maps over tasks: each task
+carries its node angles and node-index rows, and every chunk returns its
+values in grid order. A map whose tasks hold more than SEARCH_CHUNK_ROWS
+points runs on a pool, forked at the first such map, whose workers hold only
+the functional; a smaller map runs in the parent, which would otherwise spend
+more time forking than evaluating. The parent takes every reduction (the
 largest threshold, the first minimum, the seeds to refine), with ties in grid
 order, so results do not depend on the worker count.
+
+The grid holds one point per orbit of the functional's symmetry group
+(``symmetry_group``, ``_orbit_rows``). An element permutes the parties and
+reflects some of them, α ↦ π/2 − α with the branch flipped, which swaps the
+weights of σ₊ and σ₋. It counts only when a unitary W maps every K and B
+table entry onto the entry the element moves it to: then K and B at a point's
+image are W's conjugates of K and B at the point, for every angle tuple at
+once. mermin's group has 192 elements, baccari's 48 and zhao's 16; at π/60
+the grid holds 6,936, 25,296 and 67,456 points of the 46,376 sorted tuples
+and two 923,521-point products that it held before.
 
 Both operators are multilinear in one 3-vector per party over that party's
 basis (𝟙, σ₊, σ₋), with σ± = (O₀ ± O₁)/√2 from its ideal settings. A Jordan
@@ -55,7 +68,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +87,24 @@ SATURATION_TOL = 2e-4  # published constants are rounded to ~4 decimals
 #: of (𝟙 − K) on that kernel below KERNEL_TOL: far above the ~1e-15 rounding at
 #: the ideal point, far below C's eigenvalues at every other grid point
 KERNEL_TOL = 1e-9
-#: a grid pass splits the grid into at least SEARCH_CHUNKS chunks, so that small
-#: grids still spread over the workers, of at most SEARCH_CHUNK_ROWS points,
-#: which bounds the memory of a threshold chunk; chunks never depend on the
-#: worker count
+#: a grid pass splits the grid into at least SEARCH_CHUNKS chunks, so that a
+#: grid of a few thousand points still spreads over the workers, of at most
+#: SEARCH_CHUNK_ROWS points, which bounds the memory of a threshold chunk;
+#: chunks never depend on the worker count
 SEARCH_CHUNKS = 8
 SEARCH_CHUNK_ROWS = 2048
 #: a table entry off P's blocks, or an imaginary part, this small is rounding
 BLOCK_TOL = 1e-12
+#: a symmetry candidate passes the screen when a generic operator keeps its
+#: spectrum to SCREEN_TOL relative to the largest eigenvalue; it is proven
+#: when a unitary maps every table entry onto its image to PROOF_TOL
+SCREEN_TOL = 1e-9
+PROOF_TOL = 1e-12
+#: relative to the largest, an eigenvalue of the conjugator system's normal
+#: matrix, or a singular value of its solution, this small is zero
+NULL_TOL = 1e-9
+#: a table row's basis index on a reflected party: 𝟙 stays, σ₊ and σ₋ swap
+_REFLECTED = np.array([0, 2, 1])
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
 #: the π/12 grid certificate, but baccari's fails off that grid: at
@@ -300,17 +323,155 @@ def slope_thresholds(
     return thresholds.reshape(len(angles), -1).max(axis=1)
 
 
-def is_party_symmetric(functional: BellFunctional) -> bool:
-    """True when terms and ideal settings are invariant under party relabeling."""
-    pairs = functional.ideal_settings
-    if not all(np.allclose(pair, pairs[0], atol=1e-12) for pair in pairs[1:]):
-        return False
-    terms = [(t.coefficient, tuple(-1 if s is None else s for s in t.settings))
-             for t in functional.terms]  # -1 for None: sorting compares settings
-    canonical = sorted(terms)
-    return all(
-        sorted((c, tuple(settings[p] for p in perm)) for c, settings in terms) == canonical
-        for perm in itertools.permutations(range(functional.parties))
+@dataclass(frozen=True)
+class SymmetryGroup:
+    """Party permutations and reflections that leave every grid point's
+    threshold and certificate spectrum unchanged (``symmetry_group``).
+
+    Element e moves party p to party perms[e, p], reflected where flips[e, p].
+    Reflecting a party maps its angle α to π/2 − α, node i to node n − 1 − i of
+    ``angle_nodes``, and flips its branch; the π/4 node stays put. Every
+    element's permutation keeps each of ``classes``, and every permutation
+    within the classes is some element's.
+    """
+
+    classes: tuple[tuple[int, ...], ...]  # each sorted; together every party once
+    perms: np.ndarray  # (order, parties), the identity first
+    flips: np.ndarray  # (order, parties) bool
+
+    @property
+    def order(self) -> int:
+        return len(self.perms)
+
+
+def _generic(n: int) -> np.ndarray:
+    """n fixed numbers in (−1/2, 1/2) with no rational relation among them up to
+    rounding (a golden-ratio Weyl sequence), in place of random draws: numpy's
+    random module costs about 9 MB of RSS and 20 ms to import."""
+    return np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0 - 0.5
+
+
+def _binary(values, width: int) -> np.ndarray:
+    """The ``width`` bits of each value, most significant first: (len(values), width)."""
+    return (np.asarray(values)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def _from_binary(bits: np.ndarray) -> np.ndarray:
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def _table_image(perm: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Where each table row goes when party p moves to perm[p], reflected where
+    flips[p]: σ₊ and σ₋ swap on a reflected party."""
+    digits = np.indices((3,) * len(perm)).reshape(len(perm), -1).T  # the rows' basis indices
+    moved = np.empty_like(digits)
+    moved[:, perm] = np.where(flips, _REFLECTED[digits], digits)
+    return moved @ 3 ** np.arange(len(perm) - 1, -1, -1)
+
+
+def _dense(table: np.ndarray) -> np.ndarray:
+    """A (rows, blocks, d, d) table as (rows, blocks·d, blocks·d) block diagonals."""
+    rows, blocks, d, _ = table.shape
+    dense = np.zeros((rows, blocks * d, blocks * d), table.dtype)
+    for b in range(blocks):
+        dense[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = table[:, b]
+    return dense
+
+
+def _solve_conjugator(tables: np.ndarray, image: np.ndarray) -> np.ndarray | None:
+    """A unitary W with W·T_i = T_image[i]·W for every entry of a (rows, blocks,
+    d, d) table, as one (blocks·d)² matrix, or None.
+
+    W's block (a, b) solves the linear system W_ab·T_i,b = T_image[i],a·W_ab,
+    whose solutions are the kernel of its normal matrix Σ_i A_i†A_i with
+    A_i = 𝟙 ⊗ T_i,bᵀ − T_image[i],a ⊗ 𝟙 acting on W_ab's rows. W is the polar
+    factor of a generic element of all the blocks' solution spaces.
+    """
+    rows, blocks, d, _ = tables.shape
+    squares = (tables @ tables).sum(axis=0)  # Σ T_i² per block, as for T_image[i]
+    diagonal = np.arange(d)
+    w = np.zeros((blocks, d, blocks, d), tables.dtype)
+    for a, b in itertools.product(range(blocks), repeat=2):
+        cross = tables[image, a].reshape(rows, -1).T @ tables[:, b].conj().reshape(rows, -1)
+        normal = -2.0 * cross.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        normal[diagonal, :, diagonal, :] += squares[b].conj()  # 𝟙 ⊗ Σ T_i,b*²
+        normal[:, diagonal, :, diagonal] += squares[a]  # Σ T_i,a² ⊗ 𝟙
+        lam, vec = np.linalg.eigh(normal.reshape(d * d, d * d))
+        kernel = vec[:, lam <= NULL_TOL * lam[-1]]
+        w[a, :, b, :] = (kernel @ _generic(kernel.shape[1])).reshape(d, d)
+    left, sv, right = np.linalg.svd(w.reshape(blocks * d, blocks * d))
+    return left @ right if sv[-1] > NULL_TOL * sv[0] else None
+
+
+def _conjugates(w: np.ndarray | None, tables: np.ndarray, image: np.ndarray) -> bool:
+    """True when W·T_i·W† = T_image[i] for every table entry, to PROOF_TOL."""
+    return w is not None and np.abs(w @ tables @ w.conj().T - tables[image]).max() <= PROOF_TOL
+
+
+def _closure(generators: list) -> list:
+    """The group that (perm, flips) tuples generate, sorted, the identity first."""
+    group, frontier = set(generators), list(generators)
+    while frontier:
+        frontier = {
+            (tuple(b[0][i] for i in a[0]), tuple(f ^ b[1][i] for f, i in zip(a[1], a[0])))
+            for a in frontier for b in generators
+        } - group  # a, then b
+        group |= frontier
+    return sorted(group)
+
+
+@functools.lru_cache(maxsize=4)  # BellFunctional hashes by identity
+def symmetry_group(functional: BellFunctional) -> SymmetryGroup:
+    """The party permutations and reflections that the certificate tables prove.
+
+    An element moves K's and B's table rows by ``_table_image``. It counts
+    only when a unitary W satisfies W·T_i·W† = T_image[i] on all 81 K and 81 B
+    table entries, to PROOF_TOL; K and B at a point's image are then W's
+    conjugates of K and B at the point, with the same threshold and spectrum.
+    All 2ⁿ·n! candidates are screened on generic per-party weights, and only
+    those that the elements proven so far do not generate are proven, with W
+    from ``_solve_conjugator``. Parties that some element's
+    transposition swaps form a class; elements whose permutation leaves a
+    class are dropped, so that sorting within classes picks a point's orbit.
+    """
+    _, k_table, b_table = _certificate_tables(functional)
+    parties = functional.parties
+    perms = np.array(list(itertools.permutations(range(parties))))
+    flips = _binary(np.arange(2**parties), parties).astype(bool)
+    perms, flips = np.repeat(perms, len(flips), axis=0), np.tile(flips, (len(perms), 1))
+    # permutations first, then by the number of reflected parties: the first
+    # candidates proven generate most of the rest, which need no proof
+    order = np.argsort(flips.sum(axis=1), kind="stable")
+    perms, flips = perms[order], flips[order]
+    vectors = _generic(2 * parties * 3).reshape(2, parties, 3)  # K's and B's weights
+    moved = np.where(flips[:, None, :, None], vectors[..., _REFLECTED], vectors)
+    moved = np.take_along_axis(moved, np.argsort(perms)[:, None, :, None], axis=2)
+    ops = _contract(moved[:, 0], k_table) + math.pi * _contract(moved[:, 1], b_table)
+    spectra = np.sort(np.linalg.eigvalsh(ops).reshape(len(perms), -1), axis=1)
+    screened = np.abs(spectra - spectra[0]).max(axis=1) <= SCREEN_TOL * np.abs(spectra).max()
+    tables = np.concatenate([k_table, b_table])
+    dense = _dense(tables)
+    generators, group = [], [(tuple(range(parties)), (False,) * parties)]
+    for perm, flip in zip(perms[screened], flips[screened]):
+        element = (tuple(perm.tolist()), tuple(flip.tolist()))
+        if element in group:
+            continue
+        image = _table_image(perm, flip)
+        image = np.concatenate([image, image + len(k_table)])
+        if _conjugates(_solve_conjugator(tables, image), dense, image):
+            generators.append(element)
+            group = _closure(generators)
+    classes = [{p} for p in range(parties)]
+    for perm, _ in group:
+        if sum(q != p for p, q in enumerate(perm)) == 2:  # a transposition
+            p, q = (p for p, q in enumerate(perm) if q != p)
+            joined = next(c for c in classes if p in c) | next(c for c in classes if q in c)
+            classes = [c for c in classes if not c & joined] + [joined]
+    kept = [(perm, flip) for perm, flip in group
+            if all(perm[p] in c for c in classes for p in c)]
+    return SymmetryGroup(
+        tuple(sorted(tuple(sorted(c)) for c in classes)),
+        np.array([perm for perm, _ in kept]), np.array([flip for _, flip in kept]),
     )
 
 
@@ -345,14 +506,49 @@ def _branches(angles: np.ndarray) -> np.ndarray:
     return np.where(angles <= QUARTER_PI, 1, -1)
 
 
-def _grid_indices(n_nodes: int, parties: int, symmetric: bool) -> np.ndarray:
-    if symmetric:
-        combos = itertools.combinations_with_replacement(range(n_nodes), parties)
-    else:
-        combos = itertools.product(range(n_nodes), repeat=parties)
-    return np.fromiter(
-        (i for combo in combos for i in combo), dtype=np.int32
-    ).reshape(-1, parties)
+def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
+    """One node-index row per orbit of ``group`` on the product grid, in
+    lexicographic order, enumerated without the product.
+
+    A row is a fold f_p = min(i_p, n − 1 − i_p), sorted within each class, and
+    a side: the set of parties whose node lies above the middle (π/4) one. The
+    elements that fix f permute and reflect the sides, so an orbit's rows with
+    this f are one side orbit; the row kept has its side mask (party 1 the most
+    significant bit) the smallest in that orbit. Which elements fix f depends
+    only on which folds are the middle and which are equal within a class.
+    """
+    parties = sum(map(len, group.classes))
+    middle = n_nodes // 2
+    folds = np.zeros((1, parties), dtype=np.int32)
+    for members in group.classes:
+        combos = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(middle + 1), len(members))),
+            dtype=np.int32,
+        ).reshape(-1, len(members))
+        folds = np.repeat(folds, len(combos), axis=0)
+        folds[:, list(members)] = np.tile(combos, (len(folds) // len(combos), 1))
+    pairs = np.array([pair for members in group.classes
+                      for pair in itertools.combinations(members, 2)], dtype=int).reshape(-1, 2)
+    flags = np.hstack([folds == middle, folds[:, pairs[:, 0]] == folds[:, pairs[:, 1]]])
+    codes = flags @ (1 << np.arange(flags.shape[1]))
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    perms, flips = group.perms, group.flips
+    sides = _binary(np.arange(2**parties), parties).astype(bool)
+    rows = []
+    for members in np.split(order, starts[1:]):
+        fold = folds[members[0]]
+        middles = fold == middle
+        fixing = (fold[perms] == fold).all(axis=1)
+        side = sides[~(sides & middles).any(axis=1)]
+        moved = side[:, None, :] ^ flips[None, fixing]
+        images = np.take_along_axis(moved, np.argsort(perms[fixing], axis=1)[None], axis=2)
+        keep = side[_from_binary(side) == _from_binary(images & ~middles).min(axis=1)]
+        f = folds[members][:, None, :]
+        rows.append(np.where(keep, n_nodes - 1 - f, f).reshape(-1, parties))
+    rows = np.concatenate(rows)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 _functional: BellFunctional | None = None
@@ -390,14 +586,14 @@ def _eigenvalue_chunk(task) -> np.ndarray:
 class Grid:
     """A functional's Jordan-angle grid, with the map that evaluates tasks on it.
 
-    A task carries its own points (:func:`_task_points`), so ``map``'s workers
-    hold only the functional. ``map`` is an order-preserving map over tasks:
-    the builtin with one worker, a process pool's otherwise.
+    ``indices`` holds one node-index row per orbit of the functional's
+    symmetry group (:func:`_orbit_rows`). A task carries its own points
+    (:func:`_task_points`), so ``map``'s workers hold only the functional.
     """
 
     node_angles: np.ndarray
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
-    map: Callable
+    pool: Callable[[], ProcessPoolExecutor] | None  # the grid's pool, forked at the first call
 
     def tasks(self, *head) -> list:
         """``(*head, angles, rows)`` for consecutive chunks of grid rows, in order,
@@ -410,6 +606,17 @@ class Grid:
         angles = np.tile(self.node_angles, (parties, 1))
         return [(*head, angles, self.indices[i:i + rows]) for i in range(0, size, rows)]
 
+    def map(self, fn: Callable, tasks: list):
+        """``fn`` over ``tasks``, in order: on the pool when there is one and the
+        tasks hold more than SEARCH_CHUNK_ROWS points, in this process otherwise.
+
+        Forking two workers takes about 30 ms, the time of about 1,000 points,
+        so a map that one chunk could hold runs faster without them.
+        """
+        if self.pool is None or sum(len(task[-1]) for task in tasks) <= SEARCH_CHUNK_ROWS:
+            return map(fn, tasks)
+        return self.pool().map(fn, tasks)
+
 
 @contextmanager
 def open_grid(functional: BellFunctional, grid_step: float, threads: int):
@@ -417,26 +624,24 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     tasks, capped at the CPUs this process may run on; each worker holds only
     the functional.
 
-    The grid is the product of :func:`angle_nodes`, one angle per node, reduced
-    to sorted tuples when the functional is party-symmetric (which leaves every
-    extremum over the grid unchanged).
+    The grid holds one point per orbit of :func:`symmetry_group` on the
+    product of :func:`angle_nodes`, one angle per node. Every point of the
+    product has the threshold and certificate spectrum of its orbit's point,
+    so every extremum over the grid is the product's.
     """
     node_angles = angle_nodes(grid_step)
-    indices = _grid_indices(len(node_angles), functional.parties, is_party_symmetric(functional))
+    indices = _orbit_rows(len(node_angles), symmetry_group(functional))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, cpus or 1)  # the pool forks all its workers at the first pass
+    workers = min(threads, cpus or 1)  # the pool forks all its workers at its first map
+    _init_worker(functional)  # for the maps that run in this process
     # Processes, not threads: batched eigh releases the GIL, and two threads ran
     # a pass 1.65-1.95x faster on 2 CPUs, but they hold both chunks in one
     # process. bound's peak RSS rose from 47.4 to 74.0 MB (zhao pi/12) and from
     # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(functional,)
-        ) as pool:
-            yield Grid(node_angles, indices, pool.map)
-    else:
-        _init_worker(functional)
-        yield Grid(node_angles, indices, map)
+    with ExitStack() as stack:
+        pool = functools.cache(lambda: stack.enter_context(ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(functional,))))
+        yield Grid(node_angles, indices, pool if workers > 1 else None)
 
 
 def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
@@ -457,6 +662,8 @@ def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
 @dataclass(frozen=True)
 class BoundSearchResult:
     bound: SelfTestBound
+    points: int  # grid points evaluated, one per orbit
+    group_order: int  # of the symmetry group whose orbits they represent
     worst_point: tuple[float, ...]  # one Jordan angle per party
     min_eig: float
 
@@ -466,7 +673,7 @@ def _refine_tasks(s: float, grid: Grid, seeds: np.ndarray, grid_step: float) -> 
     step/4 around it, clipped to [0, π/2], as a (parties, 5) angle table."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
     angles = np.clip(grid.node_angles[seeds][..., None] + offsets, 0.0, HALF_PI)
-    rows = _grid_indices(len(offsets), seeds.shape[1], symmetric=False)
+    rows = np.indices((len(offsets),) * seeds.shape[1]).reshape(seeds.shape[1], -1).T
     return [(s, table, rows) for table in angles]
 
 
@@ -518,5 +725,6 @@ def bound_search(
                 min_eig = float(local[seed, row])
                 worst = tuple(float(a) for a in _task_points(*tasks[seed][1:])[0][row])
     return BoundSearchResult(
-        bound=SelfTestBound.from_slope(s, functional), worst_point=worst, min_eig=min_eig
+        bound=SelfTestBound.from_slope(s, functional), points=len(grid.indices),
+        group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,
     )

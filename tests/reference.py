@@ -7,7 +7,9 @@ U·blockdiag·U†. The scalar forms here follow Kaniewski's channel family
 (PRL 117, 070402, 2016) one Jordan angle and one party at a time, so the
 tests can check the batched assembly against a second derivation. The
 bisection on η and the integer scan for N invert the confidence bound a
-second way, against the package's closed-form inversion. The violation at
+second way, against the package's closed-form inversion. The full product
+grid and every group element's image of a grid row check the grid that
+keeps one point per symmetry orbit. The violation at
 arbitrary settings, the density-matrix check, the exhaustive classical bound,
 the functional writer and the event-file writer serve the tests alone; no
 pipeline calls them.
@@ -33,12 +35,15 @@ from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
     SelfTestBound,
+    SymmetryGroup,
     _certificate_tables,
+    angle_nodes,
     certificate_eigenvalues,
     certificate_operators,
     channel_weight,
     evaluate_grid,
     open_grid,
+    slope_thresholds,
 )
 from ghzcert.simulate import Transcript
 
@@ -119,6 +124,36 @@ def _evaluate(s: float, functional: BellFunctional, step: float, threads: int):
     grid order (one :func:`evaluate_grid` pass)."""
     with open_grid(functional, step, threads) as grid:
         return evaluate_grid(s, grid)
+
+
+def product_grid(grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The full product grid before any reduction, with π/4 resolved on both
+    branches as it once was: (angles, branches), each (points, 4)."""
+    nodes = angle_nodes(grid_step)
+    mid = len(nodes) // 2
+    angles = np.insert(nodes, mid + 1, nodes[mid])
+    branches = np.where(np.arange(len(angles)) <= mid, 1, -1)
+    rows = np.indices((len(angles),) * 4).reshape(4, -1).T
+    return angles[rows], branches[rows]
+
+
+def product_grid_extrema(functional: BellFunctional, grid_step: float) -> tuple[float, float]:
+    """(largest threshold, certificate minimum at it) over :func:`product_grid`,
+    in batches of at most 4096 points."""
+    angles, branches = product_grid(grid_step)
+    parts = -(-len(angles) // 4096)
+    batches = list(zip(np.array_split(angles, parts), np.array_split(branches, parts)))
+    s = max(slope_thresholds(a, b, functional).max() for a, b in batches)
+    return s, min(certificate_eigenvalues(s, a, b, functional).min() for a, b in batches)
+
+
+def group_images(rows: np.ndarray, group: SymmetryGroup, n_nodes: int) -> np.ndarray:
+    """Every element's image of every node-index row: (rows, order, parties)."""
+    perms, flips = group.perms, group.flips
+    moved = np.where(flips, n_nodes - 1 - rows[:, None, :], rows[:, None, :])
+    images = np.empty_like(moved)
+    images[:, np.arange(len(perms))[:, None], perms] = moved
+    return images
 
 
 def violation_at(rho: np.ndarray, functional: BellFunctional, settings) -> float:

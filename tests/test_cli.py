@@ -154,6 +154,8 @@ ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step", "{not_utf8}": "line 2
         ["bound", "--operator-file", "{three_matrix_pair}"],
         ["bound", "--operator-file", "{short_matrix_entry}"],
         ["bound", "--operator-file", "{long_matrix_entry}"],
+        ["bound", "--operator-file", "{nested}"],  # 100,000 [: json.loads recurses too deep
+        ["replay", "--input", "{nested}"],
         ["sweep", "--figure", "middle", "--eta", "-1"],  # read as extractability 2
         ["sweep", "--figure", "middle", "--eta", "1.5"],
         ["sweep", "--figure", "middle", "--eta", "5"],
@@ -172,6 +174,8 @@ def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):
     paths = {"missing": tmp_path / "missing.json", "empty": tmp_path / "empty.jsonl",
              "not_utf8": tmp_path / "not_utf8.jsonl"}
     paths["empty"].write_text("")
+    paths["nested"] = tmp_path / "nested.json"
+    paths["nested"].write_text("[" * 100_000 + "\n")
     paths["not_utf8"].write_bytes(b'{"window_id": 0, "input": [0, 0, 0, 0], "t_ps": 0, '
                                   b'"outcomes": [1, 1, 1, 1]}\n{"window_id": \xff}\n')
     for name, text in BAD_OPERATOR_FILES.items():
@@ -308,8 +312,9 @@ def test_bound_smoke_grid_record(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert list(doc) == ["operator", "s", "mu", "c", "grid_step", "worst_point",
-                         "min_eig", "refined"]
+    assert list(doc) == ["operator", "s", "mu", "c", "grid_step", "points", "group_order",
+                         "worst_point", "min_eig", "refined"]
+    assert (doc["points"], doc["group_order"]) == (20, 192)
     assert doc["mu"] == pytest.approx(1 - 8 * doc["s"], abs=1e-12)
     assert len(doc["worst_point"]) == 4
     assert doc["refined"] is False
@@ -344,12 +349,15 @@ def test_bound_accepts_functional_file(tmp_path, capsys):
 
 
 def test_bound_threads_do_not_change_output(capsys):
-    argv = ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 8),
-            "--s-tol", "1e-2"]
-    for refine in ([], ["--refine"]):
-        one, two, three = (run_cli(argv + refine + ["--threads", str(threads)], capsys)[1]
-                           for threads in (1, 2, 3))
-        assert one == two == three
+    """The grid passes run in this process at these sizes, and --refine's
+    sub-grids on the pool: stdout is the same for 1, 2 and 3 workers."""
+    for operator, pi_over in (("mermin", 8), ("mermin", 24), ("zhao", 12)):
+        argv = ["bound", "--operator", operator, "--grid-step", repr(math.pi / pi_over),
+                "--s-tol", "1e-2"]
+        for refine in ([], ["--refine"]):
+            one, two, three = (run_cli(argv + refine + ["--threads", str(threads)], capsys)[1]
+                               for threads in (1, 2, 3))
+            assert one == two == three
 
 
 def test_simulate_writes_transcript(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from ghzcert.bell import (
     BellTerm,
     baccari_functional,
+    functional_from_json,
     get_functional,
     mermin_functional,
     term_operator,
@@ -19,22 +20,26 @@ from ghzcert.bell import (
 )
 from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
+    SEARCH_CHUNK_ROWS,
     BoundSearchError,
     SelfTestBound,
     _certificate_tables,
-    _grid_indices,
+    _conjugates,
+    _dense,
+    _solve_conjugator,
+    _table_image,
     angle_nodes,
     bound_search,
     channel_weight,
     certificate_eigenvalues,
     certificate_operators,
     extractability_bound,
-    is_party_symmetric,
     open_grid,
     published_bound,
     sigma_basis,
     slope_thresholds,
     snap_grid_step,
+    symmetry_group,
 )
 from reference import (
     _evaluate,
@@ -43,7 +48,10 @@ from reference import (
     certificate_min_eig,
     dense_operators,
     extraction_channel,
+    functional_to_json,
+    group_images,
     jordan_observable,
+    product_grid_extrema,
     violation_at,
 )
 
@@ -296,9 +304,102 @@ def test_feasibility_monotone_in_slope():
 
 
 def test_party_symmetry_detection():
-    assert is_party_symmetric(mermin_functional())
-    assert not is_party_symmetric(baccari_functional())
-    assert not is_party_symmetric(zhao_functional())
+    """mermin's parties are all interchangeable; baccari's and zhao's party 1
+    is not, and zhao's party 2 is interchangeable with no other."""
+    assert symmetry_group(mermin_functional()).classes == ((0, 1, 2, 3),)
+    assert symmetry_group(baccari_functional()).classes == ((0,), (1, 2, 3))
+    assert symmetry_group(zhao_functional()).classes == ((0,), (1,), (2, 3))
+
+
+#: reflection sets (party 1 the most significant bit) and group orders that
+#: 400 random points agree with to 1e-9
+GROUPS = {
+    "mermin": ((0, 3, 5, 6, 9, 10, 12, 15), 192),  # even sets
+    "baccari": (tuple(range(8)), 48),  # any set of parties 2-4
+    "zhao": (tuple(range(8)), 16),
+}
+
+
+def _reflection_sets(group):
+    """The masks of the elements that permute no party."""
+    unmoved = (group.perms == np.arange(4)).all(axis=1)
+    return tuple(sorted(group.flips[unmoved] @ (1 << np.arange(3, -1, -1))))
+
+
+@pytest.mark.parametrize("operator", sorted(GROUPS))
+def test_symmetry_group_reflections_and_order(operator):
+    group = symmetry_group(get_functional(operator))
+    assert (_reflection_sets(group), group.order) == GROUPS[operator]
+    assert (group.perms[0] == np.arange(4)).all() and not group.flips[0].any()
+
+
+def _image_points(angles, perm, flips):
+    """Random points moved by one element: party p's angle, reflected to
+    π/2 − α where flips[p], goes to party perm[p]; branches follow the angles."""
+    moved = np.empty_like(angles)
+    moved[:, perm] = np.where(flips, math.pi / 2 - angles, angles)
+    return moved, np.where(moved <= QUARTER, 1, -1)
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_group_elements_keep_thresholds_and_minima(operator):
+    """Every accepted element maps 200 random points to points with the same
+    threshold and certificate minimum at s = 0.5."""
+    f = get_functional(operator)
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(0, math.pi / 2, size=(200, 4))
+    branches = np.where(angles <= QUARTER, 1, -1)
+    group = symmetry_group(f)
+    perms, flips = group.perms, group.flips
+    moved = [_image_points(angles, perm, flip) for perm, flip in zip(perms, flips)]
+    images = tuple(np.concatenate(parts) for parts in zip(*moved))
+    for value in (slope_thresholds, lambda *a: certificate_eigenvalues(0.5, *a)):
+        before = value(angles, branches, f)
+        after = value(*images, f).reshape(len(perms), -1)
+        assert np.max(np.abs(after - before)) <= 1e-9
+
+
+def _proves(f, perm, k_flips, b_flips):
+    """The proof check on one candidate whose K rows move with ``k_flips`` and
+    B rows with ``b_flips``: a unitary from the conjugator system maps them."""
+    tables = np.concatenate(_certificate_tables(f)[1:])
+    image = np.concatenate([_table_image(perm, k_flips), _table_image(perm, b_flips) + 81])
+    return _conjugates(_solve_conjugator(tables, image), _dense(tables), image)
+
+
+@pytest.mark.parametrize("operator, flips", [
+    ("mermin", [True, True, False, False]),
+    ("baccari", [False, True, False, False]),
+    ("zhao", [False, False, True, True]),
+])
+def test_reflection_without_branch_flip_fails_proof(operator, flips):
+    """α ↦ π/2 − α swaps B's σ₊ and σ₋ weights; K's swap only with the branch.
+    The reflection is proven with both swaps and rejected with B's alone."""
+    f = get_functional(operator)
+    identity, flips, still = np.arange(4), np.array(flips), np.zeros(4, dtype=bool)
+    assert _proves(f, identity, flips, flips)
+    assert not _proves(f, identity, still, flips)
+
+
+def test_changed_coefficient_loses_broken_symmetries():
+    """A file's mermin with the (1, 1, 0, 0) term at −1.5 keeps exactly the
+    signed permutations, of all 4!·2⁴, that leave the certificate minima at
+    s = 0.5 unchanged at 50 random points."""
+    mermin = mermin_functional()
+    terms = tuple(dataclasses.replace(t, coefficient=-1.5) if t.settings == (1, 1, 0, 0) else t
+                  for t in mermin.terms)
+    f = functional_from_json(functional_to_json(
+        dataclasses.replace(mermin, terms=terms, beta_alg=8.5)))
+    group = symmetry_group(f)
+    assert group.order < symmetry_group(mermin).order
+    kept = {(tuple(perm), tuple(flips)) for perm, flips in zip(group.perms, group.flips)}
+    angles = np.random.default_rng(32).uniform(0, math.pi / 2, size=(50, 4))
+    before = certificate_eigenvalues(0.5, angles, np.where(angles <= QUARTER, 1, -1), f)
+    for perm in itertools.permutations(range(4)):
+        for flips in itertools.product((False, True), repeat=4):
+            after = certificate_eigenvalues(0.5, *_image_points(angles, perm, flips), f)
+            moved = np.max(np.abs(after - before))
+            assert moved <= 1e-9 if (perm, flips) in kept else moved > 1e-6
 
 
 def test_angle_nodes_hold_quarter_pi_once():
@@ -336,34 +437,57 @@ def test_branch_at_quarter_pi_leaves_operators_unchanged(operator):
     ],
 )
 def test_open_grid_sizes(operator, pi_over, size):
+    """The grid's orbits are disjoint and cover the ``size`` points that the grid
+    held before the symmetry reduction: the product of the nodes, or its
+    sorted tuples for mermin, whose parties are all interchangeable."""
+    f = get_functional(operator)
+    with open_grid(f, math.pi / pi_over, 1) as grid:
+        rows, n = grid.indices, len(grid.node_angles)
+    group = symmetry_group(f)
+    images = group_images(rows, group, n)
+    keys = np.sort(images @ n ** np.arange(4), axis=1)
+    orbit_sizes = (np.diff(keys, axis=1) != 0).sum(axis=1) + 1
+    assert len(np.unique(keys)) == orbit_sizes.sum() == n**4
+    if len(group.classes) == 1:
+        keys = np.sort(images, axis=2) @ n ** np.arange(4)
+    assert len(np.unique(keys)) == size
+
+
+#: orbits per grid, the Burnside counts of ``GROUPS``
+ORBITS = {
+    ("mermin", 24): 336, ("baccari", 24): 1092, ("zhao", 24): 2548,
+    ("mermin", 60): 6936, ("baccari", 60): 25296, ("zhao", 60): 67456,
+}
+
+
+@pytest.mark.parametrize("operator, pi_over", sorted(ORBITS))
+def test_grid_holds_one_point_per_orbit(operator, pi_over):
     with open_grid(get_functional(operator), math.pi / pi_over, 1) as grid:
-        assert grid.indices.shape == (size, 4)
+        assert grid.indices.shape == (ORBITS[operator, pi_over], 4)
+        assert np.array_equal(grid.indices, np.unique(grid.indices, axis=0))  # sorted, distinct
 
 
-def _branch_resolved_points(functional, grid_step):
-    """The grid before nodes were single angles: π/4 twice, once per branch,
-    as (angles, branches) arrays of shape (points, 4)."""
-    nodes = angle_nodes(grid_step)
-    mid = len(nodes) // 2
-    angles = np.insert(nodes, mid + 1, nodes[mid])
-    branches = np.where(np.arange(len(angles)) <= mid, 1, -1)
-    rows = _grid_indices(len(angles), 4, is_party_symmetric(functional))
-    return angles[rows], branches[rows]
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_every_product_point_maps_into_the_grid(operator):
+    """At π/12, some element maps each of the 7⁴ product points onto a grid row."""
+    f = get_functional(operator)
+    with open_grid(f, math.pi / 12, 1) as grid:
+        rows, n = grid.indices, len(grid.node_angles)
+    product = np.indices((n,) * 4).reshape(4, -1).T
+    keys = group_images(product, symmetry_group(f), n) @ n ** np.arange(4)
+    assert np.isin(keys, rows @ n ** np.arange(4)).any(axis=1).all()
 
 
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
 @pytest.mark.parametrize("grid_step", [math.pi / 12, math.pi / 24], ids=["pi/12", "pi/24"])
 def test_grid_matches_branch_resolved_grid(operator, grid_step):
-    """Dropping the σ₋ copy of the π/4 node keeps the largest threshold and the
-    certificate minimum at it, up to rounding."""
+    """The largest threshold over one point per orbit, and the certificate
+    minimum at it, are those of the full product grid with π/4 on both
+    branches, up to rounding."""
     f = get_functional(operator)
     result = bound_search(f, grid_step=grid_step, threads=2)
-    angles, branches = _branch_resolved_points(f, grid_step)
-    parts = -(-len(angles) // 4096)  # bounds the memory of a threshold batch
-    chunks = list(zip(np.array_split(angles, parts), np.array_split(branches, parts)))
-    s = max(slope_thresholds(a, b, f).max() for a, b in chunks)
+    s, minimum = product_grid_extrema(f, grid_step)
     assert abs(result.bound.s - s) <= 1e-14
-    minimum = min(certificate_eigenvalues(result.bound.s, a, b, f).min() for a, b in chunks)
     assert abs(result.min_eig - minimum) <= 1e-14
 
 
@@ -376,37 +500,77 @@ def test_snap_grid_step_accepts_rounded_values():
 
 
 def test_grid_evaluation_thread_count_invariant():
+    """mermin's 6,936 π/60 points: more than one chunk holds, so the pool runs."""
     f = mermin_functional()
-    ref = _evaluate(0.2, f, math.pi / 12, 1)
+    ref = _evaluate(0.2, f, math.pi / 60, 1)
     for threads in (2, 3):
-        assert np.array_equal(_evaluate(0.2, f, math.pi / 12, threads), ref)
+        assert np.array_equal(_evaluate(0.2, f, math.pi / 60, threads), ref)
 
 
-def test_grid_pool_capped_at_usable_cpus(monkeypatch):
-    """``threads`` above the usable CPU count starts one worker per CPU, no more."""
-    seen = []
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each task in this process, and
+    records each pool's worker count and each map's task count."""
 
-    class InlinePool:  # records the worker count and runs each task in this process
-        def __init__(self, max_workers, initializer, initargs):
-            seen.append(max_workers)
-            initializer(*initargs)
+    workers: list = []
+    maps: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers.append(max_workers)
+        initializer(*initargs)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        map = staticmethod(map)
+    def __exit__(self, *exc):
+        return False
 
+    def map(self, fn, tasks):
+        self.maps.append(len(tasks))
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
     monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "ProcessPoolExecutor",
-                        InlinePool)
+                        _InlinePool)
+    monkeypatch.setattr(_InlinePool, "workers", [])
+    monkeypatch.setattr(_InlinePool, "maps", [])
+    return _InlinePool
+
+
+def test_grid_pool_capped_at_usable_cpus(inline_pool, monkeypatch):
+    """``threads`` above the usable CPU count starts one worker per CPU, no more."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     f = mermin_functional()
-    ref = _evaluate(0.2, f, math.pi / 12, 1)
+    ref = _evaluate(0.2, f, math.pi / 60, 1)
     for threads in (2, 3, 10_000):
-        assert np.array_equal(_evaluate(0.2, f, math.pi / 12, threads), ref)
-    assert seen == [2, 3, 3]
+        assert np.array_equal(_evaluate(0.2, f, math.pi / 60, threads), ref)
+    assert inline_pool.workers == [2, 3, 3]
+
+
+def test_small_grid_forks_no_worker(monkeypatch):
+    """Grids whose points fit one chunk (mermin π/24, zhao π/12) run in this
+    process: forking a worker fails the test."""
+    def refuse(**kwargs):
+        raise AssertionError("a pool was forked")
+
+    selftest = importlib.import_module("ghzcert.selftest")
+    for operator, pi_over in (("mermin", 24), ("zhao", 12)):
+        f = get_functional(operator)
+        ref = bound_search(f, grid_step=math.pi / pi_over, threads=1)
+        assert ref.points <= SEARCH_CHUNK_ROWS
+        monkeypatch.setattr(selftest, "ProcessPoolExecutor", refuse)
+        assert bound_search(f, grid_step=math.pi / pi_over, threads=2) == ref
+        monkeypatch.undo()
+
+
+def test_refine_maps_over_the_pool(inline_pool):
+    """mermin π/8's 20 grid points are searched in this process, and --refine's
+    20 sub-grids of 625 points each on the pool, forked once."""
+    f = mermin_functional()
+    result = bound_search(f, grid_step=math.pi / 8, threads=2, refine=True)
+    assert (inline_pool.workers, inline_pool.maps) == ([2], [result.points]) == ([2], [20])
+    assert result == bound_search(f, grid_step=math.pi / 8, threads=1, refine=True)
 
 
 def test_self_test_bound_saturation():
@@ -524,9 +688,21 @@ def test_bound_search_rejects_slope_failing_verification(monkeypatch):
         bound_search(mermin_functional(), grid_step=math.pi / 8)
 
 
+def test_builtin_functional_is_one_instance():
+    """One instance per built-in name, so its tables and group are derived once
+    per process, and repeated searches agree."""
+    f = get_functional("zhao")
+    assert get_functional("zhao") is f
+    assert symmetry_group(get_functional("zhao")) is symmetry_group(f)
+    first = bound_search(get_functional("zhao"), grid_step=math.pi / 12)
+    assert bound_search(get_functional("zhao"), grid_step=math.pi / 12) == first
+
+
 def test_bound_search_thread_count_invariant():
-    """Eight threshold chunks (2401 zhao points) and one shared pool per search."""
+    """Eight threshold chunks of 319 rows (zhao's 2,548 π/24 orbit points) and
+    one shared pool per search."""
     f = zhao_functional()
-    ref = bound_search(f, grid_step=math.pi / 12, threads=1)
+    ref = bound_search(f, grid_step=math.pi / 24, threads=1)
+    assert ref.points == 2548
     for threads in (2, 3):
-        assert bound_search(f, grid_step=math.pi / 12, threads=threads) == ref
+        assert bound_search(f, grid_step=math.pi / 24, threads=threads) == ref
