@@ -35,7 +35,6 @@ from .selftest import (
     DEFAULT_SLACK,
     BoundSearchError,
     bound_search,
-    published_bound,
     snap_grid_step,
 )
 from .simulate import BlockCorrelated, Drifting, IIDNoisy, run_protocol

@@ -9,13 +9,16 @@ party, and s is feasible when the operator
 has nonnegative minimum eigenvalue at every angle tuple on a grid. Because C
 is positive semidefinite, each grid point has a closed-form smallest feasible
 slope, the generalized eigenvalue λ_max(C^{-1/2}(𝟙 − K)C^{-1/2})
-(``slope_thresholds``). ``bound_search`` takes the maximum threshold over the
-grid in one pass and checks it with one certificate pass (``evaluate_grid``).
-Both passes, and ``--refine``'s sub-grids, are maps over tasks: each task
-carries its node angles and node-index rows, and every chunk returns its
-values in grid order. A map whose tasks hold more than SEARCH_CHUNK_ROWS
-points runs on a pool, forked at the first such map, whose workers hold only
-the functional; a smaller map runs in the parent, which would otherwise spend
+(``slope_thresholds``), and s is their maximum over the grid. C ⪰ 0 also makes
+a point's minimum eigenvalue nondecreasing in s, so a point whose minimum at a
+slope s₀ is at least LAZY_MARGIN has its threshold below s₀: ``bound_search``
+seeds s₀ on a nested coarse grid, runs one certificate pass at s₀
+(``evaluate_grid``), and computes thresholds only where that pass falls below
+the margin. Every pass, and ``--refine``'s sub-grids, is a map over tasks:
+each task carries its node angles and node-index rows, and every chunk
+returns its values in row order. A map of more than SEARCH_CHUNK_ROWS points
+runs on a pool, forked at the first such map, whose workers hold only the
+functional; a smaller map runs in the parent, which would otherwise spend
 more time forking than evaluating. The parent takes every reduction (the
 largest threshold, the first minimum, the seeds to refine), with ties in grid
 order, so results do not depend on the worker count.
@@ -87,10 +90,14 @@ SATURATION_TOL = 2e-4  # published constants are rounded to ~4 decimals
 #: of (𝟙 − K) on that kernel below KERNEL_TOL: far above the ~1e-15 rounding at
 #: the ideal point, far below C's eigenvalues at every other grid point
 KERNEL_TOL = 1e-9
-#: a grid pass splits the grid into at least SEARCH_CHUNKS chunks, so that a
-#: grid of a few thousand points still spreads over the workers, of at most
-#: SEARCH_CHUNK_ROWS points, which bounds the memory of a threshold chunk;
-#: chunks never depend on the worker count
+#: a point whose certificate minimum at the seed slope is at least LAZY_MARGIN
+#: has its threshold below that slope: far above the ~1e-15 rounding of a
+#: minimum eigenvalue, so no point at or above the seed slope goes unflagged
+LAZY_MARGIN = 1e-9
+#: a map of more than SEARCH_CHUNK_ROWS points, the bound on a threshold
+#: chunk's memory, splits into at least SEARCH_CHUNKS chunks, so that a few
+#: thousand points still spread over the workers; chunks never depend on the
+#: worker count
 SEARCH_CHUNKS = 8
 SEARCH_CHUNK_ROWS = 2048
 #: a table entry off P's blocks, or an imaginary part, this small is rounding
@@ -570,16 +577,11 @@ def _task_points(angles: np.ndarray, rows: np.ndarray):
     return points, _branches(points)
 
 
-def _threshold_chunk(task) -> np.ndarray:
-    """Slope thresholds at the points of one (angles, rows) task, in row order."""
-    return slope_thresholds(*_task_points(*task), _functional)
-
-
-def _eigenvalue_chunk(task) -> np.ndarray:
-    """Certificate minimum eigenvalues at the points of one (s, angles, rows) task,
-    in row order."""
-    s, *points = task
-    return certificate_eigenvalues(s, *_task_points(*points), _functional)
+def _chunk(task) -> np.ndarray:
+    """``fn`` (``slope_thresholds`` or ``certificate_eigenvalues``) at the points
+    of one (fn, *args, angles, rows) task, in row order."""
+    fn, *args, angles, rows = task
+    return fn(*args, *_task_points(angles, rows), _functional)
 
 
 @dataclass(frozen=True)
@@ -595,16 +597,21 @@ class Grid:
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
     pool: Callable[[], ProcessPoolExecutor] | None  # the grid's pool, forked at the first call
 
-    def tasks(self, *head) -> list:
-        """``(*head, angles, rows)`` for consecutive chunks of grid rows, in order,
+    def values(self, rows: np.ndarray, fn: Callable, *head) -> np.ndarray:
+        """``fn(*head, points, branches, functional)`` at node-index ``rows``, in
+        row order: ``map`` over (fn, *head, angles, chunk) tasks (:func:`_chunk`),
         with ``angles`` the (parties, k) table of every party's nodes.
 
-        The chunk size depends on the grid size only (see ``SEARCH_CHUNKS``).
+        Up to SEARCH_CHUNK_ROWS rows are one chunk, more are at least
+        SEARCH_CHUNKS, so that they spread over the workers. A point's value is
+        the same in every chunk of two or more rows.
         """
-        size, parties = self.indices.shape
-        rows = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
+        size, parties = rows.shape
+        step = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
+        step = size if size <= SEARCH_CHUNK_ROWS else step
         angles = np.tile(self.node_angles, (parties, 1))
-        return [(*head, angles, self.indices[i:i + rows]) for i in range(0, size, rows)]
+        tasks = [(fn, *head, angles, rows[i:i + step]) for i in range(0, size, step)]
+        return np.concatenate(list(self.map(_chunk, tasks)))
 
     def map(self, fn: Callable, tasks: list):
         """``fn`` over ``tasks``, in order: on the pool when there is one and the
@@ -638,6 +645,10 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     # a pass 1.65-1.95x faster on 2 CPUs, but they hold both chunks in one
     # process. bound's peak RSS rose from 47.4 to 74.0 MB (zhao pi/12) and from
     # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
+    # With one certificate pass per search and BLAS pinned to one thread, two
+    # workers ran bound 1.2-1.8x (mermin), 1.3-2.1x (baccari) and 1.7-2.2x (zhao)
+    # as fast as one at pi/120, and 0.8-1.4x at pi/60 (4 runs each, 2 CPUs).
+    # Unpinned, each worker's BLAS threads contend for the same CPUs.
     with ExitStack() as stack:
         pool = functools.cache(lambda: stack.enter_context(ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(functional,))))
@@ -648,15 +659,10 @@ def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
     """Certificate minimum eigenvalue at every point of an :func:`open_grid` grid,
     in grid order.
 
-    Chunks fill one preallocated array, so the values, and every reduction the
+    Chunks are joined in grid order, so the values, and every reduction the
     caller takes over them, are identical for any worker count.
     """
-    values = np.empty(len(grid.indices))
-    start = 0
-    for chunk in grid.map(_eigenvalue_chunk, grid.tasks(s)):
-        values[start:start + len(chunk)] = chunk
-        start += len(chunk)
-    return values
+    return grid.values(grid.indices, certificate_eigenvalues, s)
 
 
 @dataclass(frozen=True)
@@ -669,12 +675,22 @@ class BoundSearchResult:
 
 
 def _refine_tasks(s: float, grid: Grid, seeds: np.ndarray, grid_step: float) -> list:
-    """One (s, angles, rows) task per seed node-index row: the 5⁴ sub-grid at
-    step/4 around it, clipped to [0, π/2], as a (parties, 5) angle table."""
+    """One (certificate_eigenvalues, s, angles, rows) task per seed node-index
+    row: the 5⁴ sub-grid at step/4 around it, clipped to [0, π/2], as a
+    (parties, 5) angle table."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
     angles = np.clip(grid.node_angles[seeds][..., None] + offsets, 0.0, HALF_PI)
     rows = np.indices((len(offsets),) * seeds.shape[1]).reshape(seeds.shape[1], -1).T
-    return [(s, table, rows) for table in angles]
+    return [(certificate_eigenvalues, s, table, rows) for table in angles]
+
+
+def _feasible(s: float) -> float:
+    """s, or BoundSearchError when it exceeds 1 (∞ marks a kernel leak)."""
+    if not s <= 1.0:
+        raise BoundSearchError(
+            "certificate infeasible at s=1; channel family does not match the functional"
+        )
+    return s
 
 
 def bound_search(
@@ -684,32 +700,42 @@ def bound_search(
     threads: int = 1,
     refine: bool = False,
 ) -> BoundSearchResult:
-    """Smallest slope s passing the grid certificate, found exactly in one pass.
+    """Smallest slope s passing the grid certificate, the largest threshold
+    (:func:`slope_thresholds`) on the grid, found with one certificate pass.
 
-    s is the maximum over the grid of the per-point thresholds
-    (:func:`slope_thresholds`). One :func:`evaluate_grid` pass at s, on the
-    same workers, verifies it: the certificate's minimum eigenvalue must stay
-    above −``slack`` at every grid point; μ is always 1 − s·β_Q. With
-    ``refine``, step/4 sub-grids around the 100 lowest grid points, on the
-    same workers, may lower the reported minimum and move the worst point.
-    Raises :class:`BoundSearchError` when no slope in [0, 1] passes, which
-    signals a wrong channel family or functional, or when s fails the
-    verification, and ValueError for a ``slack`` that is negative or not
-    finite or fewer than one thread.
+    The seed s₀ is the largest threshold on the rows whose node indices are
+    all multiples of j: the nested π/12 grid (j = intervals/6) when 6 divides
+    the interval count and it exceeds 6, else the corners and π/4 (j =
+    intervals/2). An :func:`evaluate_grid` pass at s₀ flags the points with
+    minimum eigenvalue below LAZY_MARGIN; every other point's threshold is
+    below s₀, and its minimum at s ≥ s₀ at least the margin (module
+    docstring). So s is the largest of s₀ and the flagged thresholds, and the
+    minimum, which must stay above −``slack``, and the worst point (the first
+    in grid order among ties) come from the flagged points at s; μ is
+    1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest grid
+    points at s may lower the reported minimum and move the worst point.
+    Every map runs on the grid's workers. Raises :class:`BoundSearchError`
+    when s₀ or s exceeds 1, which signals a wrong channel family or
+    functional, when s fails the check or nothing is flagged, and ValueError
+    for a ``slack`` that is negative or not finite or fewer than one thread.
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     with open_grid(functional, grid_step, threads) as grid:
-        s = max(float(chunk.max()) for chunk in grid.map(_threshold_chunk, grid.tasks()))
-        if not s <= 1.0:
-            raise BoundSearchError(
-                "certificate infeasible at s=1; channel family does not match the functional"
-            )
-        values = evaluate_grid(s, grid)
-        worst_row = int(np.argmin(values))  # the first in grid order among ties
-        min_eig = float(values[worst_row])
+        intervals = len(grid.node_angles) - 1
+        j = intervals // 6 if intervals % 6 == 0 and intervals > 6 else intervals // 2
+        nested = grid.indices[(grid.indices % j == 0).all(axis=1)]
+        s = _feasible(float(grid.values(nested, slope_thresholds).max()))
+        flagged = np.flatnonzero(evaluate_grid(s, grid) < LAZY_MARGIN)
+        if not len(flagged):
+            raise BoundSearchError(f"no grid point is tight at the seed slope {s!r}")
+        rows = grid.indices[flagged]
+        s = _feasible(max(s, float(grid.values(rows, slope_thresholds).max())))
+        values = grid.values(rows, certificate_eigenvalues, s)
+        worst_row = flagged[np.argmin(values)]  # the first in grid order among ties
+        min_eig = float(values.min())
         if min_eig < -slack:
             raise BoundSearchError(
                 f"threshold slope {s!r} fails the grid certificate "
@@ -717,13 +743,13 @@ def bound_search(
             )
         worst = tuple(float(a) for a in grid.node_angles[grid.indices[worst_row]])
         if refine:
-            seeds = grid.indices[np.argsort(values, kind="stable")[:100]]
+            seeds = grid.indices[np.argsort(evaluate_grid(s, grid), kind="stable")[:100]]
             tasks = _refine_tasks(s, grid, seeds, grid_step)
-            local = np.stack(list(grid.map(_eigenvalue_chunk, tasks)))
+            local = np.stack(list(grid.map(_chunk, tasks)))
             seed, row = np.unravel_index(np.argmin(local), local.shape)
             if local[seed, row] < min_eig:
                 min_eig = float(local[seed, row])
-                worst = tuple(float(a) for a in _task_points(*tasks[seed][1:])[0][row])
+                worst = tuple(float(a) for a in _task_points(*tasks[seed][2:])[0][row])
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=len(grid.indices),
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,

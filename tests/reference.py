@@ -9,7 +9,8 @@ tests can check the batched assembly against a second derivation. The
 bisection on η and the integer scan for N invert the confidence bound a
 second way, against the package's closed-form inversion. The full product
 grid and every group element's image of a grid row check the grid that
-keeps one point per symmetry orbit. The violation at
+keeps one point per symmetry orbit, and the two-pass search (every
+threshold, then a full certificate pass) checks the lazy one. The violation at
 arbitrary settings, the density-matrix check, the exhaustive classical bound,
 the functional writer and the event-file writer serve the tests alone; no
 pipeline calls them.
@@ -34,9 +35,16 @@ from ghzcert.replay import FIELDS, Events
 from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
+    SEARCH_CHUNK_ROWS,
+    SEARCH_CHUNKS,
+    BoundSearchError,
+    BoundSearchResult,
     SelfTestBound,
     SymmetryGroup,
     _certificate_tables,
+    _chunk,
+    _refine_tasks,
+    _task_points,
     angle_nodes,
     certificate_eigenvalues,
     certificate_operators,
@@ -44,6 +52,7 @@ from ghzcert.selftest import (
     evaluate_grid,
     open_grid,
     slope_thresholds,
+    symmetry_group,
 )
 from ghzcert.simulate import Transcript
 
@@ -124,6 +133,47 @@ def _evaluate(s: float, functional: BellFunctional, step: float, threads: int):
     grid order (one :func:`evaluate_grid` pass)."""
     with open_grid(functional, step, threads) as grid:
         return evaluate_grid(s, grid)
+
+
+def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: float = 1e-9,
+                          refine: bool = False) -> BoundSearchResult:
+    """The bound search as two full passes, in one process: every grid point's
+    threshold, then the certificate minimum of every grid point at their
+    maximum, whose least value and first worst point are the result;
+    ``refine`` as in ``bound_search``. Both passes split the grid into at least
+    SEARCH_CHUNKS chunks of at most SEARCH_CHUNK_ROWS points."""
+    with open_grid(functional, grid_step, 1) as grid:
+        size = len(grid.indices)
+        step = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
+        chunks = [_task_points(np.tile(grid.node_angles, (4, 1)), grid.indices[i:i + step])
+                  for i in range(0, size, step)]
+        s = max(float(slope_thresholds(*points, functional).max()) for points in chunks)
+        if not s <= 1.0:
+            raise BoundSearchError(
+                "certificate infeasible at s=1; channel family does not match the functional"
+            )
+        values = np.concatenate([certificate_eigenvalues(s, *points, functional)
+                                 for points in chunks])
+        worst_row = int(np.argmin(values))
+        min_eig = float(values[worst_row])
+        if min_eig < -slack:
+            raise BoundSearchError(
+                f"threshold slope {s!r} fails the grid certificate "
+                f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
+            )
+        worst = tuple(float(a) for a in grid.node_angles[grid.indices[worst_row]])
+        if refine:
+            seeds = grid.indices[np.argsort(values, kind="stable")[:100]]
+            tasks = _refine_tasks(s, grid, seeds, grid_step)
+            local = np.stack([_chunk(task) for task in tasks])
+            seed, row = np.unravel_index(np.argmin(local), local.shape)
+            if local[seed, row] < min_eig:
+                min_eig = float(local[seed, row])
+                worst = tuple(float(a) for a in _task_points(*tasks[seed][2:])[0][row])
+    return BoundSearchResult(
+        bound=SelfTestBound.from_slope(s, functional), points=size,
+        group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,
+    )
 
 
 def product_grid(grid_step: float) -> tuple[np.ndarray, np.ndarray]:

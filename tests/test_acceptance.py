@@ -20,7 +20,7 @@ the Jordan-angle dephasing construction, for two reasons that criteria 3 and
   −1/8 at s = 0.1875 and zero at s = 7/32, the slope the grid search returns.
 
 Criterion 3's grid defaults to the pi/24 smoke size; set GHZCERT_FULL_GRID=1
-for the full pi/120 grid (minutes instead of seconds).
+for the full pi/120 grid (about a second instead of 0.05 s).
 """
 
 import io

@@ -350,8 +350,9 @@ def test_bound_accepts_functional_file(tmp_path, capsys):
 
 def test_bound_threads_do_not_change_output(capsys):
     """The grid passes run in this process at these sizes, and --refine's
-    sub-grids on the pool: stdout is the same for 1, 2 and 3 workers."""
-    for operator, pi_over in (("mermin", 8), ("mermin", 24), ("zhao", 12)):
+    sub-grids on the pool: stdout is the same for 1, 2 and 3 workers. baccari
+    π/24's flagged points raise the slope above its seed's."""
+    for operator, pi_over in (("mermin", 8), ("mermin", 24), ("zhao", 12), ("baccari", 24)):
         argv = ["bound", "--operator", operator, "--grid-step", repr(math.pi / pi_over),
                 "--s-tol", "1e-2"]
         for refine in ([], ["--refine"]):

@@ -20,6 +20,7 @@ from ghzcert.bell import (
 )
 from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
+    LAZY_MARGIN,
     SEARCH_CHUNK_ROWS,
     BoundSearchError,
     SelfTestBound,
@@ -52,6 +53,7 @@ from reference import (
     group_images,
     jordan_observable,
     product_grid_extrema,
+    two_pass_bound_search,
     violation_at,
 )
 
@@ -699,10 +701,106 @@ def test_builtin_functional_is_one_instance():
 
 
 def test_bound_search_thread_count_invariant():
-    """Eight threshold chunks of 319 rows (zhao's 2,548 π/24 orbit points) and
-    one shared pool per search."""
+    """A certificate pass of eight chunks of 319 rows (zhao's 2,548 π/24 orbit
+    points) on one shared pool per search."""
     f = zhao_functional()
     ref = bound_search(f, grid_step=math.pi / 24, threads=1)
     assert ref.points == 2548
     for threads in (2, 3):
         assert bound_search(f, grid_step=math.pi / 24, threads=threads) == ref
+
+
+#: the grids on which bound's output stays as the two-pass search had it
+SEARCH_GRIDS = [
+    ("mermin", 24), ("mermin", 60), pytest.param("mermin", 120, marks=pytest.mark.slow),
+    ("baccari", 12), ("baccari", 24), ("baccari", 60),
+    ("zhao", 12), pytest.param("zhao", 60, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("operator, pi_over", SEARCH_GRIDS)
+def test_lazy_search_matches_two_pass_search(operator, pi_over):
+    """Slope, minimum and worst point are the bits of every threshold's maximum
+    and a full certificate pass at it, for 1, 2 and 3 workers."""
+    f = get_functional(operator)
+    step = math.pi / pi_over
+    ref = two_pass_bound_search(f, step)
+    for threads in (1, 2, 3):
+        assert bound_search(f, grid_step=step, threads=threads) == ref
+
+
+@pytest.mark.parametrize("operator, pi_over", [("baccari", 12), ("baccari", 24)])
+def test_lazy_refine_matches_two_pass_search(operator, pi_over, monkeypatch):
+    """--refine seeds from the 100 lowest minima at s, as the full pass at s
+    orders them: at baccari's seed slopes, below s, 2 (π/12) and 16 (π/24) of
+    the 100 would differ."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    seeds, exact = [], selftest._refine_tasks
+    monkeypatch.setattr(selftest, "_refine_tasks",
+                        lambda s, grid, rows, step: seeds.append(rows) or exact(s, grid, rows, step))
+    f = get_functional(operator)
+    step = math.pi / pi_over
+    lazy = bound_search(f, grid_step=step, threads=2, refine=True)
+    assert lazy == two_pass_bound_search(f, step, refine=True)
+    with open_grid(f, step, 1) as grid:
+        lowest = np.argsort(_evaluate(lazy.bound.s, f, step, 1), kind="stable")[:100]
+        assert np.array_equal(seeds[0], grid.indices[lowest])
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+@pytest.mark.parametrize("pi_over", [12, 24])
+def test_larger_lazy_margin_changes_nothing(operator, pi_over, monkeypatch):
+    f = get_functional(operator)
+    ref = bound_search(f, grid_step=math.pi / pi_over)
+    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "LAZY_MARGIN",
+                        100 * LAZY_MARGIN)
+    assert bound_search(f, grid_step=math.pi / pi_over) == ref
+
+
+def test_flagged_thresholds_raise_the_seed_slope(monkeypatch):
+    """baccari π/24 seeds s₀ on its nested π/12 rows, whose largest threshold is
+    π/12's slope and below π/24's: a flagged point's threshold sets s."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    passes, exact = [], selftest.evaluate_grid
+    monkeypatch.setattr(selftest, "evaluate_grid",
+                        lambda s, grid: passes.append((s, exact(s, grid))) or passes[-1][1])
+    f = baccari_functional()
+    result = bound_search(f, grid_step=math.pi / 24)
+    [(seed, values)] = passes
+    assert seed == pytest.approx(bound_search(f, grid_step=math.pi / 12).bound.s, abs=1e-12)
+    assert seed < result.bound.s
+    assert (values < LAZY_MARGIN).sum() >= 1
+
+
+def test_threshold_above_one_raises_at_the_seed_or_a_flagged_point(monkeypatch):
+    """Thresholds above 1 on the seed rows, or only on the flagged rows (every
+    call after the first), fail the search with one message."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    exact, calls = selftest.slope_thresholds, []
+    monkeypatch.setattr(selftest, "slope_thresholds",
+                        lambda *args: exact(*args) + (calls.append(1) or len(calls) > 1))
+    with pytest.raises(BoundSearchError, match="certificate infeasible at s=1; channel family"):
+        bound_search(mermin_functional(), grid_step=math.pi / 8)
+    assert len(calls) == 2
+    monkeypatch.setattr(selftest, "slope_thresholds", lambda *args: exact(*args) + 1.0)
+    with pytest.raises(BoundSearchError, match="certificate infeasible at s=1; channel family"):
+        bound_search(mermin_functional(), grid_step=math.pi / 8)
+
+
+def test_worst_point_is_the_first_among_ties(monkeypatch):
+    """Every minimum 0: all points are flagged and tie, and the first grid row wins."""
+    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "certificate_eigenvalues",
+                        lambda s, angles, *rest: np.zeros(len(angles)))
+    result = bound_search(mermin_functional(), grid_step=math.pi / 8)
+    with open_grid(mermin_functional(), math.pi / 8, 1) as grid:
+        first = tuple(grid.node_angles[grid.indices[0]])
+    assert (result.worst_point, result.min_eig, result.bound.s) == (first, 0.0, 7 / 32)
+
+
+def test_search_with_no_flagged_point_raises(monkeypatch):
+    """The seed's own largest threshold is tight at s₀, so a pass that flags
+    nothing is a fault, not a result."""
+    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "certificate_eigenvalues",
+                        lambda s, angles, *rest: np.ones(len(angles)))
+    with pytest.raises(BoundSearchError, match="no grid point is tight"):
+        bound_search(mermin_functional(), grid_step=math.pi / 8)
