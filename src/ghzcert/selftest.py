@@ -14,20 +14,21 @@ a point's minimum eigenvalue nondecreasing in s, so a point whose minimum at a
 slope s₀ is at least LAZY_MARGIN has its threshold below s₀: ``bound_search``
 seeds s₀ on a nested coarse grid, runs one certificate pass at s₀
 (``evaluate_grid``), and computes thresholds only where that pass falls below
-the margin. Every pass, and ``--refine``'s sub-grids, is a map over tasks:
-each task carries its node angles and node-index rows, and every chunk
-returns its values in row order. A map of more than SEARCH_CHUNK_ROWS points
-runs on a pool, forked at the first such map, whose workers hold only the
-functional; a smaller map runs in the parent, which would otherwise spend
+the margin. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
+node angle table and node-index rows into it, as a map over tasks: each task
+carries the nodes' weights (``node_weights``) and a chunk of rows, and every
+chunk returns its values in row order. A map of more than SEARCH_CHUNK_ROWS
+points runs on a pool, forked at the first such map, whose workers hold only
+the functional; a smaller map runs in the parent, which would otherwise spend
 more time forking than evaluating. The parent takes every reduction (the
 largest threshold, the first minimum, the seeds to refine), with ties in grid
 order, so results do not depend on the worker count.
 
 The grid holds one point per orbit of the functional's symmetry group
 (``symmetry_group``, ``_orbit_rows``). An element permutes the parties and
-reflects some of them, α ↦ π/2 − α with the branch flipped, which swaps the
-weights of σ₊ and σ₋. It counts only when a unitary W maps every K and B
-table entry onto the entry the element moves it to: then K and B at a point's
+reflects some of them, α ↦ π/2 − α, which swaps the σ₊ and σ₋ weights of
+both operators. It counts only when a unitary W maps every K and B table
+entry onto the entry the element moves it to: then K and B at a point's
 image are W's conjugates of K and B at the point, for every angle tuple at
 once. mermin's group has 192 elements, baccari's 48 and zhao's 16; at π/60
 the grid holds 6,936, 25,296 and 67,456 points of the 46,376 sorted tuples
@@ -40,8 +41,8 @@ an extraction channel is p·ρ + q·ΓρΓ with Γ = σ₊ or σ₋ by branch, s
 it by (p, q·[branch = +1], q·[branch = −1]). Each operator is therefore the
 81-entry outer product of the four vectors times a fixed table of 81
 operators (``certificate_operators``): one real matrix product per batch. The
-branch is +1 up to π/4 and −1 above (``_branches``); at π/4, q = 0 on either
-branch, so a grid node is one angle.
+branch is +1 up to π/4 and −1 above (``node_weights``, which alone reads
+angles); at π/4, q = 0 on either branch, so a grid node is one angle.
 
 The tables are built once per functional and process, in the basis
 U = (⊗ₚ Wₚ)·Q of Kaniewski's channel family (PRL 117, 070402, 2016). Wₚ's
@@ -119,7 +120,8 @@ _REFLECTED = np.array([0, 2, 1])
 #: mermin's 0.1875 provably cannot pass the π/12 grid certificate: at the
 #: Jordan point (0, π/4, π/4, π/4) a biseparable state reaches violation 4√2
 #: with extractability at most 1/2, which forces s ≥ (2+√2)/16 ≈ 0.2134
-#: (the grid search here certifies 7/32)
+#: (the grid search here certifies 7/32). zhao's grid slope is its all-zero
+#: corner's threshold (52 + 53√2)/128 ≈ 0.99182
 ROBUSTNESS_CONSTANTS = {
     "mermin": (0.1875, -0.5),
     "baccari": (0.4897, -3.1552),
@@ -262,58 +264,58 @@ def _contract(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out.view(table.dtype).reshape(-1, *table.shape[2:])
 
 
-def certificate_operators(
-    angles: np.ndarray,
-    branches: np.ndarray,
-    functional: BellFunctional,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(K(ᾱ), B(ᾱ)) for a batch of angle tuples as U-basis blocks, each (n·blocks, d, d).
-
-    ``angles`` and ``branches`` have shape (n, parties); both operators are
-    contractions of per-party weights with fixed tables (module docstring).
-    """
-    _, k_table, b_table = _certificate_tables(functional)
+def node_weights(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) weight vectors of every angle over (𝟙, σ₊, σ₋), each
+    ``angles.shape + (3,)``; the branch is +1 (Γ = σ₊) up to and including π/4, −1 above."""
     angles = np.asarray(angles, dtype=float)
-    plus = np.asarray(branches) == 1
+    plus = angles <= QUARTER_PI
     g = channel_weight(angles)
     p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
     k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
     b_vectors = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], axis=-1)
+    return k_vectors, b_vectors
+
+
+def certificate_operators(
+    k_vectors: np.ndarray,
+    b_vectors: np.ndarray,
+    functional: BellFunctional,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) at a batch of points as U-basis blocks, each (n·blocks, d, d): the
+    points' (n, parties, 3) weights (:func:`node_weights`) contracted with fixed tables."""
+    _, k_table, b_table = _certificate_tables(functional)
     return _contract(k_vectors, k_table), _contract(b_vectors, b_table)
 
 
 def certificate_eigenvalues(
     s: float,
-    angles: np.ndarray,
-    branches: np.ndarray,
+    k_vectors: np.ndarray,
+    b_vectors: np.ndarray,
     functional: BellFunctional,
 ) -> np.ndarray:
-    """Minimum eigenvalue of K(ᾱ) − s·B(ᾱ) − μ·𝟙 for a batch of angle tuples.
-
-    ``angles`` and ``branches`` have shape (n, parties); μ is slaved to s via
-    μ = 1 − s·β_Q.
-    """
-    k_op, bell_op = certificate_operators(angles, branches, functional)
+    """Minimum eigenvalue of K − s·B − μ·𝟙 at each point of a batch of
+    (n, parties, 3) weight pairs; μ is slaved to s via μ = 1 − s·β_Q."""
+    k_op, bell_op = certificate_operators(k_vectors, b_vectors, functional)
     mu = 1.0 - s * functional.beta_q
     cert = k_op - s * bell_op
     idx = np.arange(cert.shape[-1])
     cert[:, idx, idx] -= mu
-    return np.linalg.eigvalsh(cert)[:, 0].reshape(len(angles), -1).min(axis=1)
+    return np.linalg.eigvalsh(cert)[:, 0].reshape(len(k_vectors), -1).min(axis=1)
 
 
 def slope_thresholds(
-    angles: np.ndarray,
-    branches: np.ndarray,
+    k_vectors: np.ndarray,
+    b_vectors: np.ndarray,
     functional: BellFunctional,
 ) -> np.ndarray:
-    """Smallest slope passing the certificate at each angle tuple of a batch.
+    """Smallest slope passing the certificate at each point of a batch.
 
     The certificate is (K − 𝟙) + s·C with C = β_Q·𝟙 − B ⪰ 0, so it is
     positive semidefinite exactly when s ≥ λ_max(C^{-1/2}(𝟙 − K)C^{-1/2}) on
     the range of C and 𝟙 − K vanishes on the kernel of C; where it does not
     vanish no slope passes and the threshold is ∞.
     """
-    k_op, bell_op = certificate_operators(angles, branches, functional)
+    k_op, bell_op = certificate_operators(k_vectors, b_vectors, functional)
     idx = np.arange(k_op.shape[-1])
     c_op = -bell_op
     c_op[:, idx, idx] += functional.beta_q
@@ -327,7 +329,7 @@ def slope_thresholds(
     singular = np.flatnonzero(kernel.any(axis=1))
     leak = a_op[singular] @ (vec[singular] * kernel[singular, None, :])
     thresholds[singular[np.abs(leak).max(axis=(1, 2)) > KERNEL_TOL]] = np.inf
-    return thresholds.reshape(len(angles), -1).max(axis=1)
+    return thresholds.reshape(len(k_vectors), -1).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -337,7 +339,7 @@ class SymmetryGroup:
 
     Element e moves party p to party perms[e, p], reflected where flips[e, p].
     Reflecting a party maps its angle α to π/2 − α, node i to node n − 1 − i of
-    ``angle_nodes``, and flips its branch; the π/4 node stays put. Every
+    ``angle_nodes``, and swaps its σ± weights; the π/4 node stays put. Every
     element's permutation keeps each of ``classes``, and every permutation
     within the classes is some element's.
     """
@@ -508,11 +510,6 @@ def angle_nodes(grid_step: float) -> np.ndarray:
     return np.linspace(0.0, HALF_PI, snap_grid_step(grid_step)[1] + 1)
 
 
-def _branches(angles: np.ndarray) -> np.ndarray:
-    """Each angle's channel branch: +1 (Γ = σ₊) up to and including π/4, −1 above."""
-    return np.where(angles <= QUARTER_PI, 1, -1)
-
-
 def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
     """One node-index row per orbit of ``group`` on the product grid, in
     lexicographic order, enumerated without the product.
@@ -567,62 +564,47 @@ def _init_worker(functional: BellFunctional) -> None:
     _functional = functional
 
 
-def _task_points(angles: np.ndarray, rows: np.ndarray):
-    """A task's points: (angles, branches) at its node-index ``rows``, each (n, parties).
-
-    ``angles`` is a (parties, k) node table; row r's party p sits at node
-    ``rows[r, p]`` of table row p. Branches follow from the angles (``_branches``).
-    """
-    points = angles[np.arange(rows.shape[1]), rows]
-    return points, _branches(points)
-
-
 def _chunk(task) -> np.ndarray:
-    """``fn`` (``slope_thresholds`` or ``certificate_eigenvalues``) at the points
-    of one (fn, *args, angles, rows) task, in row order."""
-    fn, *args, angles, rows = task
-    return fn(*args, *_task_points(angles, rows), _functional)
+    """``fn`` (``slope_thresholds`` or ``certificate_eigenvalues``) at the rows of
+    one (fn, *head, k_nodes, b_nodes, rows) task, in row order."""
+    fn, *head, k_nodes, b_nodes, rows = task
+    parties = np.arange(rows.shape[1])
+    return fn(*head, k_nodes[parties, rows], b_nodes[parties, rows], _functional)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """A functional's Jordan-angle grid, with the map that evaluates tasks on it.
+    """A functional's Jordan-angle grid, with the map that evaluates it.
 
-    ``indices`` holds one node-index row per orbit of the functional's
-    symmetry group (:func:`_orbit_rows`). A task carries its own points
-    (:func:`_task_points`), so ``map``'s workers hold only the functional.
+    :func:`open_grid`'s ``indices`` hold one node-index row per orbit of the
+    symmetry group (:func:`_orbit_rows`). A task carries the node weights of
+    ``angles``, so the workers hold only the functional.
     """
 
-    node_angles: np.ndarray
+    angles: np.ndarray  # (parties, k) node table: row r's party p is at angles[p, r[p]]
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
     pool: Callable[[], ProcessPoolExecutor] | None  # the grid's pool, forked at the first call
 
+    def point(self, row: np.ndarray) -> tuple[float, ...]:
+        """The Jordan angles of node-index ``row``, one per party."""
+        return tuple(float(a) for a in self.angles[np.arange(len(row)), row])
+
     def values(self, rows: np.ndarray, fn: Callable, *head) -> np.ndarray:
-        """``fn(*head, points, branches, functional)`` at node-index ``rows``, in
-        row order: ``map`` over (fn, *head, angles, chunk) tasks (:func:`_chunk`),
-        with ``angles`` the (parties, k) table of every party's nodes.
+        """``fn(*head, k_vectors, b_vectors, functional)`` at node-index ``rows``,
+        in row order, over (fn, *head, k_nodes, b_nodes, chunk) tasks (:func:`_chunk`).
 
-        Up to SEARCH_CHUNK_ROWS rows are one chunk, more are at least
-        SEARCH_CHUNKS, so that they spread over the workers. A point's value is
-        the same in every chunk of two or more rows.
+        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in this process: forking
+        two workers takes about 30 ms, the time of about 1,000 points. More are
+        at least SEARCH_CHUNKS chunks, on the pool when there is one. A point's
+        value is the same in every chunk of two or more rows.
         """
-        size, parties = rows.shape
-        step = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
-        step = size if size <= SEARCH_CHUNK_ROWS else step
-        angles = np.tile(self.node_angles, (parties, 1))
-        tasks = [(fn, *head, angles, rows[i:i + step]) for i in range(0, size, step)]
-        return np.concatenate(list(self.map(_chunk, tasks)))
-
-    def map(self, fn: Callable, tasks: list):
-        """``fn`` over ``tasks``, in order: on the pool when there is one and the
-        tasks hold more than SEARCH_CHUNK_ROWS points, in this process otherwise.
-
-        Forking two workers takes about 30 ms, the time of about 1,000 points,
-        so a map that one chunk could hold runs faster without them.
-        """
-        if self.pool is None or sum(len(task[-1]) for task in tasks) <= SEARCH_CHUNK_ROWS:
-            return map(fn, tasks)
-        return self.pool().map(fn, tasks)
+        size = len(rows)
+        step = size if size <= SEARCH_CHUNK_ROWS else min(
+            SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
+        nodes = node_weights(self.angles)
+        tasks = [(fn, *head, *nodes, rows[i:i + step]) for i in range(0, size, step)]
+        chunks = map if self.pool is None or len(tasks) == 1 else self.pool().map
+        return np.concatenate(list(chunks(_chunk, tasks)))
 
 
 @contextmanager
@@ -636,8 +618,8 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     product has the threshold and certificate spectrum of its orbit's point,
     so every extremum over the grid is the product's.
     """
-    node_angles = angle_nodes(grid_step)
-    indices = _orbit_rows(len(node_angles), symmetry_group(functional))
+    angles = np.tile(angle_nodes(grid_step), (functional.parties, 1))
+    indices = _orbit_rows(angles.shape[1], symmetry_group(functional))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, cpus or 1)  # the pool forks all its workers at its first map
     _init_worker(functional)  # for the maps that run in this process
@@ -652,12 +634,12 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     with ExitStack() as stack:
         pool = functools.cache(lambda: stack.enter_context(ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(functional,))))
-        yield Grid(node_angles, indices, pool if workers > 1 else None)
+        yield Grid(angles, indices, pool if workers > 1 else None)
 
 
 def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
-    """Certificate minimum eigenvalue at every point of an :func:`open_grid` grid,
-    in grid order.
+    """Certificate minimum eigenvalue at every point of a grid (:func:`open_grid`,
+    or ``--refine``'s sub-grid), in grid order.
 
     Chunks are joined in grid order, so the values, and every reduction the
     caller takes over them, are identical for any worker count.
@@ -674,14 +656,16 @@ class BoundSearchResult:
     min_eig: float
 
 
-def _refine_tasks(s: float, grid: Grid, seeds: np.ndarray, grid_step: float) -> list:
-    """One (certificate_eigenvalues, s, angles, rows) task per seed node-index
-    row: the 5⁴ sub-grid at step/4 around it, clipped to [0, π/2], as a
-    (parties, 5) angle table."""
+def _refine_grid(grid: Grid, seeds: np.ndarray, grid_step: float) -> Grid:
+    """The 5ⁿ sub-grid at step/4 around each seed node-index row, clipped to
+    [0, π/2], on ``grid``'s pool: seed i's party p has nodes 5i to 5i + 4, and
+    its rows, 5i + every local index tuple in lexicographic order, follow i − 1's."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
-    angles = np.clip(grid.node_angles[seeds][..., None] + offsets, 0.0, HALF_PI)
-    rows = np.indices((len(offsets),) * seeds.shape[1]).reshape(seeds.shape[1], -1).T
-    return [(certificate_eigenvalues, s, table, rows) for table in angles]
+    seed_count, parties = seeds.shape
+    angles = np.clip(grid.angles[np.arange(parties), seeds][..., None] + offsets, 0.0, HALF_PI)
+    local = np.indices((len(offsets),) * parties).reshape(parties, -1).T
+    rows = (len(offsets) * np.arange(seed_count)[:, None, None] + local).reshape(-1, parties)
+    return Grid(angles.transpose(1, 0, 2).reshape(parties, -1), rows, grid.pool)
 
 
 def _feasible(s: float) -> float:
@@ -724,7 +708,7 @@ def bound_search(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     with open_grid(functional, grid_step, threads) as grid:
-        intervals = len(grid.node_angles) - 1
+        intervals = grid.angles.shape[1] - 1
         j = intervals // 6 if intervals % 6 == 0 and intervals > 6 else intervals // 2
         nested = grid.indices[(grid.indices % j == 0).all(axis=1)]
         s = _feasible(float(grid.values(nested, slope_thresholds).max()))
@@ -741,15 +725,14 @@ def bound_search(
                 f"threshold slope {s!r} fails the grid certificate "
                 f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
             )
-        worst = tuple(float(a) for a in grid.node_angles[grid.indices[worst_row]])
+        worst = grid.point(grid.indices[worst_row])
         if refine:
             seeds = grid.indices[np.argsort(evaluate_grid(s, grid), kind="stable")[:100]]
-            tasks = _refine_tasks(s, grid, seeds, grid_step)
-            local = np.stack(list(grid.map(_chunk, tasks)))
-            seed, row = np.unravel_index(np.argmin(local), local.shape)
-            if local[seed, row] < min_eig:
-                min_eig = float(local[seed, row])
-                worst = tuple(float(a) for a in _task_points(*tasks[seed][2:])[0][row])
+            sub = _refine_grid(grid, seeds, grid_step)
+            local = evaluate_grid(s, sub)
+            if local.min() < min_eig:
+                min_eig = float(local.min())
+                worst = sub.point(sub.indices[np.argmin(local)])
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=len(grid.indices),
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,

@@ -1,16 +1,19 @@
 """Independent scalar oracles for the tests, kept out of the package.
 
-The package assembles the self-testing certificate in batches
-(``certificate_operators``), as diagonal blocks in a fixed basis U.
-``dense_operators`` maps them back to the computational basis as
-U·blockdiag·U†. The scalar forms here follow Kaniewski's channel family
-(PRL 117, 070402, 2016) one Jordan angle and one party at a time, so the
-tests can check the batched assembly against a second derivation. The
+The package assembles the self-testing certificate in batches from per-party
+weight vectors (``node_weights``, ``certificate_operators``), as diagonal
+blocks in a fixed basis U. ``dense_operators`` maps them back to the
+computational basis as U·blockdiag·U†, and ``branch_weights`` builds the
+vectors with each party's channel branch chosen freely instead of by its
+angle. The scalar forms here follow Kaniewski's channel family (PRL 117,
+070402, 2016) one Jordan angle and one party at a time, so the tests can
+check the batched assembly against a second derivation. The
 bisection on η and the integer scan for N invert the confidence bound a
 second way, against the package's closed-form inversion. The full product
 grid and every group element's image of a grid row check the grid that
 keeps one point per symmetry orbit, and the two-pass search (every
-threshold, then a full certificate pass) checks the lazy one. The violation at
+threshold, then a full certificate pass, and every refine seed's points built
+here) checks the lazy one. The violation at
 arbitrary settings, the density-matrix check, the exhaustive classical bound,
 the functional writer and the event-file writer serve the tests alone; no
 pipeline calls them.
@@ -42,14 +45,12 @@ from ghzcert.selftest import (
     SelfTestBound,
     SymmetryGroup,
     _certificate_tables,
-    _chunk,
-    _refine_tasks,
-    _task_points,
     angle_nodes,
     certificate_eigenvalues,
     certificate_operators,
     channel_weight,
     evaluate_grid,
+    node_weights,
     open_grid,
     slope_thresholds,
     symmetry_group,
@@ -95,26 +96,35 @@ def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None 
     return 0.5 * (1.0 + g) * rho + 0.5 * (1.0 - g) * (gamma @ rho @ gamma)
 
 
-def branches_of(angles) -> tuple[int, ...]:
-    """Each angle's channel branch: +1 (σ₊) up to and including π/4, −1 above."""
-    return tuple(1 if a <= QUARTER_PI else -1 for a in angles)
+def branch_weights(angles, branches) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) weight vectors as ``node_weights`` lays them out, each
+    ``angles.shape + (3,)``, with each angle's channel branch taken from
+    ``branches`` (+1 for σ₊, −1 for σ₋) instead of from the angle."""
+    angles = np.asarray(angles, dtype=float)
+    plus = np.asarray(branches) == 1
+    g = channel_weight(angles)
+    p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
+    k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
+    b_vectors = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], axis=-1)
+    return k_vectors, b_vectors
 
 
 def certificate_min_eig(s: float, angles, functional: BellFunctional) -> float:
-    """Certificate minimum eigenvalue at one angle tuple, on :func:`branches_of`."""
+    """Certificate minimum eigenvalue at one angle tuple."""
     return float(certificate_eigenvalues(
-        s, np.array([angles], dtype=float), np.array([branches_of(angles)]), functional)[0])
+        s, *node_weights(np.array([angles], dtype=float)), functional)[0])
 
 
-def dense_operators(angles, branches, functional: BellFunctional) -> tuple[np.ndarray, ...]:
-    """(K, B) of ``certificate_operators`` as (n, 16, 16) computational-basis
-    matrices: U·blockdiag(blocks)·U† per point."""
+def dense_operators(k_vectors, b_vectors, functional: BellFunctional) -> tuple[np.ndarray, ...]:
+    """(K, B) of ``certificate_operators`` at (n, 4, 3) weight pairs as
+    (n, 16, 16) computational-basis matrices: U·blockdiag(blocks)·U† per point."""
     u = _certificate_tables(functional)[0]
+    n = len(k_vectors)
     dense = []
-    for blocks in certificate_operators(angles, branches, functional):
-        blocks = blocks.reshape(len(angles), -1, *blocks.shape[1:])
+    for blocks in certificate_operators(k_vectors, b_vectors, functional):
+        blocks = blocks.reshape(n, -1, *blocks.shape[1:])
         d = blocks.shape[-1]
-        diag = np.zeros((len(angles), 16, 16), dtype=complex)
+        diag = np.zeros((n, 16, 16), dtype=complex)
         for b in range(blocks.shape[1]):
             diag[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = blocks[:, b]
         dense.append(u @ diag @ u.conj().T)
@@ -123,8 +133,7 @@ def dense_operators(angles, branches, functional: BellFunctional) -> tuple[np.nd
 
 def build_K(angles, functional: BellFunctional) -> np.ndarray:
     """Extraction channels applied factor-wise to the GHZ projector."""
-    k_op, _ = dense_operators(
-        np.array([angles], dtype=float), np.array([branches_of(angles)]), functional)
+    k_op, _ = dense_operators(*node_weights(np.array([angles], dtype=float)), functional)
     return k_op[0]
 
 
@@ -140,13 +149,14 @@ def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: f
     """The bound search as two full passes, in one process: every grid point's
     threshold, then the certificate minimum of every grid point at their
     maximum, whose least value and first worst point are the result;
-    ``refine`` as in ``bound_search``. Both passes split the grid into at least
-    SEARCH_CHUNKS chunks of at most SEARCH_CHUNK_ROWS points."""
+    ``refine`` as in ``bound_search``, one batch per seed. Both passes split the
+    grid into at least SEARCH_CHUNKS chunks of at most SEARCH_CHUNK_ROWS
+    points."""
     with open_grid(functional, grid_step, 1) as grid:
         size = len(grid.indices)
         step = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
-        chunks = [_task_points(np.tile(grid.node_angles, (4, 1)), grid.indices[i:i + step])
-                  for i in range(0, size, step)]
+        nodes = angle_nodes(grid_step)
+        chunks = [node_weights(nodes[grid.indices[i:i + step]]) for i in range(0, size, step)]
         s = max(float(slope_thresholds(*points, functional).max()) for points in chunks)
         if not s <= 1.0:
             raise BoundSearchError(
@@ -161,15 +171,17 @@ def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: f
                 f"threshold slope {s!r} fails the grid certificate "
                 f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
             )
-        worst = tuple(float(a) for a in grid.node_angles[grid.indices[worst_row]])
+        worst = tuple(float(a) for a in nodes[grid.indices[worst_row]])
         if refine:
-            seeds = grid.indices[np.argsort(values, kind="stable")[:100]]
-            tasks = _refine_tasks(s, grid, seeds, grid_step)
-            local = np.stack([_chunk(task) for task in tasks])
-            seed, row = np.unravel_index(np.argmin(local), local.shape)
-            if local[seed, row] < min_eig:
-                min_eig = float(local[seed, row])
-                worst = tuple(float(a) for a in _task_points(*tasks[seed][2:])[0][row])
+            offsets = np.arange(-2, 3) * (grid_step / 4.0)
+            local = np.indices((5,) * 4).reshape(4, -1).T
+            for seed in grid.indices[np.argsort(values, kind="stable")[:100]]:
+                sub = np.clip(nodes[seed][:, None] + offsets, 0.0, HALF_PI)  # (4, 5)
+                points = sub[np.arange(4), local]  # (625, 4)
+                seed_values = certificate_eigenvalues(s, *node_weights(points), functional)
+                row = int(np.argmin(seed_values))
+                if seed_values[row] < min_eig:
+                    min_eig, worst = float(seed_values[row]), tuple(map(float, points[row]))
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=size,
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,
@@ -192,9 +204,10 @@ def product_grid_extrema(functional: BellFunctional, grid_step: float) -> tuple[
     in batches of at most 4096 points."""
     angles, branches = product_grid(grid_step)
     parts = -(-len(angles) // 4096)
-    batches = list(zip(np.array_split(angles, parts), np.array_split(branches, parts)))
-    s = max(slope_thresholds(a, b, functional).max() for a, b in batches)
-    return s, min(certificate_eigenvalues(s, a, b, functional).min() for a, b in batches)
+    batches = [branch_weights(a, b) for a, b in
+               zip(np.array_split(angles, parts), np.array_split(branches, parts))]
+    s = max(slope_thresholds(*w, functional).max() for w in batches)
+    return s, min(certificate_eigenvalues(s, *w, functional).min() for w in batches)
 
 
 def group_images(rows: np.ndarray, group: SymmetryGroup, n_nodes: int) -> np.ndarray:

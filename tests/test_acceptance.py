@@ -19,8 +19,8 @@ the Jordan-angle dephasing construction, for two reasons that criteria 3 and
   K-weight 1/8, so the certificate's minimum eigenvalue there is 4s − 7/8:
   −1/8 at s = 0.1875 and zero at s = 7/32, the slope the grid search returns.
 
-Criterion 3's grid defaults to the pi/24 smoke size; set GHZCERT_FULL_GRID=1
-for the full pi/120 grid (about a second instead of 0.05 s).
+zhao's grid slope is likewise its all-zero corner's threshold, in closed form
+(52 + 53√2)/128 ≈ 0.99182 (``tests/test_selftest.py``).
 """
 
 import io
@@ -110,9 +110,7 @@ def test_criterion_3_table_constants_and_certificate_feasibility():
         for op in ("mermin", "baccari", "zhao")
     )
     mermin = get_functional("mermin")
-    full = os.environ.get("GHZCERT_FULL_GRID") == "1"
-    grid_step = math.pi / 120 if full else math.pi / 24
-    min_eig = _evaluate(CORNER_SLOPE, mermin, grid_step, THREADS).min()
+    min_eig = _evaluate(CORNER_SLOPE, mermin, math.pi / 120, THREADS).min()
     feasible_ok = min_eig >= -1e-6
 
     # the gap to the published slope: 4s − 7/8 at the all-zero corner is −1/8
@@ -120,12 +118,11 @@ def test_criterion_3_table_constants_and_certificate_feasibility():
     corner = certificate_min_eig(published_s, (0.0,) * 4, mermin)
     gap_ok = abs(corner - (-1.0 / 8.0)) <= 1e-9 and published_s < WITNESS_SLOPE_FLOOR
     elapsed = time.perf_counter() - t0
-    limit = 1800.0 if full else 60.0
-    ok = saturation_ok and feasible_ok and gap_ok and elapsed < limit
+    ok = saturation_ok and feasible_ok and gap_ok and elapsed < 60.0
     check(
         3,
         f"s*beta_Q+mu=1 within 2e-4 (all operators): {saturation_ok}; "
-        f"s=7/32 certificate min eig at pi/{120 if full else 24} grid = "
+        f"s=7/32 certificate min eig at pi/120 grid = "
         f"{min_eig:.4g} (need >= -1e-6); published s={published_s} gives "
         f"{corner:.4g} at the all-zero corner (need -1/8) and is below the "
         f"witness floor (2+sqrt2)/16 = {WITNESS_SLOPE_FLOOR:.4f}: {gap_ok}",
@@ -142,15 +139,15 @@ def test_criterion_4_bound_search():
     elapsed = time.perf_counter() - t0
     doc = json.loads(out)
     s, mu = doc["s"], doc["mu"]
-    # bisection returns the feasible end within --s-tol of the grid threshold,
-    # which the all-zero corner fixes at 7/32
+    # the search returns the largest grid threshold, the all-zero corner's
+    # closed form 7/32
     ok = (
-        code == 0 and CORNER_SLOPE - 1e-9 <= s <= CORNER_SLOPE + 1e-4
+        code == 0 and abs(s - CORNER_SLOPE) <= 1e-12
         and s >= WITNESS_SLOPE_FLOOR
         and abs(mu - (1 - 8 * s)) <= 1e-9 and elapsed < 1800.0
     )
-    check(4, f"bound search at pi/60 returned s = {s:.6f} (need within "
-          f"[7/32 - 1e-9, 7/32 + 1e-4] and >= (2+sqrt2)/16)", ok, elapsed)
+    check(4, f"bound search at pi/60 returned s = {s!r} (need 7/32 to 1e-12 "
+          f"and >= (2+sqrt2)/16)", ok, elapsed)
 
 
 def test_criterion_5_classical_bounds_by_exhaustion():

@@ -114,3 +114,21 @@ def test_traced_pipelines_call_every_hook(tmp_path, capsys, monkeypatch):
     assert codes == [0] * len(calls)
     called = {tracer.names[i] for i in tracer.name_id}
     assert {name for _, _, name, _ in spans.HOOKS} - called == {"bell.won"}
+
+
+def test_traced_bound_counts_its_printed_points(capsys, monkeypatch):
+    """The certificate hook reads each batch's weight pairs: the distinct points
+    it counts in a traced mermin π/12 ``bound`` equal the ``points`` it prints."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install("bound")
+    try:
+        code = ghzcert.cli.dispatch(
+            ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 12)])
+    finally:
+        tracer.uninstall()
+    printed = json.loads(capsys.readouterr().out)["points"]
+    assert code == 0 and printed == 50
+    assert tracer.summary()["distinct_grid_points"] == printed

@@ -1,13 +1,15 @@
-"""Byte-for-byte pins on the simulate and replay outputs.
+"""Byte-for-byte pins on the simulate, replay and bound outputs.
 
 The SHA-256 digests below are of the outputs of ``simulate`` (transcript file
-and stdout) for each source and of ``replay`` (stdout) in both modes. Any
-change to a random draw, to a round's score, to the transcript format or to
-the JSON summaries changes a digest.
+and stdout) for each source, of ``replay`` (stdout) in both modes, and of
+``bound`` (stdout) on four grids with and without ``--refine``. Any change to
+a random draw, to a round's score, to the transcript format, to a
+certificate's bits or to the JSON summaries changes a digest.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +37,18 @@ EVENTS_DIGEST = "bba2fc9fe7ec4994fbf122732dc665c090851d61cb1169756625e851dd0ce05
 REPLAY_GOLDEN = {
     "strict": "1ba27fc1b29df6e0307040775b39a6749000a0b2b8880cadd6df5602f9f35b3e",
     "decomposed": "2aecb4429bb7365389556704d5bbcb504aad4b91e9136d2d543725065e9a579c",
+}
+
+# (operator, pi/step, --refine) -> stdout digest, the same for 1 and 2 workers
+BOUND_GOLDEN = {
+    ("mermin", 24, False): "93e4a49c48610236e2378af0a95b440517e3e92233d0760bc871e8b35f5a5f3a",
+    ("mermin", 24, True): "783382654b36bce1b4e827e6e0bd1d0aeb062ce1e7fa2a17239a21e68f0cb8de",
+    ("baccari", 12, False): "1f965ad3eb2b6e994e23c7669f4d52729a250631ef2f21d99e667227df5e2819",
+    ("baccari", 12, True): "365f792f9ba73562bca69cc6ea783fb56e49239d708193837f7d3f989dbf4910",
+    ("baccari", 24, False): "79476cf7085d8e21dd39ecaceaa5e84bee735a5930fdb8061ef1abca1aaa6035",
+    ("baccari", 24, True): "3de65e42186d2353d7ce59ba33becd268319204a48bb3d09dde3de317a8322e1",
+    ("zhao", 12, False): "ff32f9d12957b03db6e53586bb85e299bdbc0e84a8a691939ce02e9cee4721bb",
+    ("zhao", 12, True): "0d28c2edecad1ab954ead71a676c9d968f0de49ab2d33b84dc07d71a32882430",
 }
 
 
@@ -75,3 +89,11 @@ def test_replay_bytes_are_pinned(mode, tmp_path, capsys):
     assert _sha256(path.read_text(encoding="utf-8")) == EVENTS_DIGEST
     dispatch(["replay", "--input", str(path), "--mode", mode, "--seed", "99"])
     assert _sha256(capsys.readouterr().out) == REPLAY_GOLDEN[mode]
+
+
+@pytest.mark.parametrize("operator, pi_over, refine", sorted(BOUND_GOLDEN))
+def test_bound_bytes_are_pinned(operator, pi_over, refine, capsys):
+    argv = ["bound", "--operator", operator, "--grid-step", repr(math.pi / pi_over)]
+    for threads in ("1", "2"):
+        dispatch([*argv, "--threads", threads, *(["--refine"] if refine else [])])
+        assert _sha256(capsys.readouterr().out) == BOUND_GOLDEN[operator, pi_over, refine]

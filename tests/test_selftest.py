@@ -35,6 +35,7 @@ from ghzcert.selftest import (
     certificate_eigenvalues,
     certificate_operators,
     extractability_bound,
+    node_weights,
     open_grid,
     published_bound,
     sigma_basis,
@@ -44,7 +45,7 @@ from ghzcert.selftest import (
 )
 from reference import (
     _evaluate,
-    branches_of,
+    branch_weights,
     build_K,
     certificate_min_eig,
     dense_operators,
@@ -168,7 +169,7 @@ def test_certificate_operators_match_scalar_reference(operator):
     )
     branches = np.where(angles <= QUARTER, 1, -1)
     branches[-1] = -1  # π/4 on the σ₋ branch
-    k_ops, b_ops = dense_operators(angles, branches, f)
+    k_ops, b_ops = dense_operators(*branch_weights(angles, branches), f)
     for point, point_branches, k_op, b_op in zip(angles, branches, k_ops, b_ops):
         k_ref, b_ref = _reference_operators(point, point_branches, f)
         assert np.max(np.abs(b_op - b_ref)) <= 1e-12
@@ -213,8 +214,8 @@ def test_odd_body_off_plane_functional_keeps_one_complex_block():
         assert table.dtype == np.complex128 and table.shape == (81, 1, 16, 16)
     angles, branches = _random_points(np.random.default_rng(24), 30)
     s = 0.3
-    thresholds = slope_thresholds(angles, branches, f)
-    minima = certificate_eigenvalues(s, angles, branches, f)
+    thresholds = slope_thresholds(*branch_weights(angles, branches), f)
+    minima = certificate_eigenvalues(s, *branch_weights(angles, branches), f)
     for point, point_branches, threshold, minimum in zip(angles, branches, thresholds, minima):
         k_ref, b_ref = _reference_operators(point, point_branches, f)
         lam, vec = np.linalg.eigh(f.beta_q * np.eye(16) - b_ref)
@@ -297,11 +298,10 @@ def test_feasibility_monotone_in_slope():
     """Larger s never hurts: certificate values are nondecreasing in s (mermin)."""
     f = mermin_functional()
     rng = np.random.default_rng(14)
-    angles = rng.uniform(0, math.pi / 2, size=(10, 4))
-    branches = np.where(angles <= QUARTER, 1, -1)
+    weights = node_weights(rng.uniform(0, math.pi / 2, size=(10, 4)))
     for s1, s2 in ((0.05, 0.1), (0.1, 0.19), (0.19, 0.5), (0.5, 1.0)):
-        v1 = certificate_eigenvalues(s1, angles, branches, f)
-        v2 = certificate_eigenvalues(s2, angles, branches, f)
+        v1 = certificate_eigenvalues(s1, *weights, f)
+        v2 = certificate_eigenvalues(s2, *weights, f)
         assert np.all(v2 >= v1 - 1e-12)
 
 
@@ -336,11 +336,11 @@ def test_symmetry_group_reflections_and_order(operator):
 
 
 def _image_points(angles, perm, flips):
-    """Random points moved by one element: party p's angle, reflected to
-    π/2 − α where flips[p], goes to party perm[p]; branches follow the angles."""
+    """The weights of random points moved by one element: party p's angle,
+    reflected to π/2 − α where flips[p], goes to party perm[p]."""
     moved = np.empty_like(angles)
     moved[:, perm] = np.where(flips, math.pi / 2 - angles, angles)
-    return moved, np.where(moved <= QUARTER, 1, -1)
+    return node_weights(moved)
 
 
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
@@ -350,13 +350,12 @@ def test_group_elements_keep_thresholds_and_minima(operator):
     f = get_functional(operator)
     rng = np.random.default_rng(31)
     angles = rng.uniform(0, math.pi / 2, size=(200, 4))
-    branches = np.where(angles <= QUARTER, 1, -1)
     group = symmetry_group(f)
     perms, flips = group.perms, group.flips
     moved = [_image_points(angles, perm, flip) for perm, flip in zip(perms, flips)]
     images = tuple(np.concatenate(parts) for parts in zip(*moved))
     for value in (slope_thresholds, lambda *a: certificate_eigenvalues(0.5, *a)):
-        before = value(angles, branches, f)
+        before = value(*node_weights(angles), f)
         after = value(*images, f).reshape(len(perms), -1)
         assert np.max(np.abs(after - before)) <= 1e-9
 
@@ -396,12 +395,24 @@ def test_changed_coefficient_loses_broken_symmetries():
     assert group.order < symmetry_group(mermin).order
     kept = {(tuple(perm), tuple(flips)) for perm, flips in zip(group.perms, group.flips)}
     angles = np.random.default_rng(32).uniform(0, math.pi / 2, size=(50, 4))
-    before = certificate_eigenvalues(0.5, angles, np.where(angles <= QUARTER, 1, -1), f)
+    before = certificate_eigenvalues(0.5, *node_weights(angles), f)
     for perm in itertools.permutations(range(4)):
         for flips in itertools.product((False, True), repeat=4):
             after = certificate_eigenvalues(0.5, *_image_points(angles, perm, flips), f)
             moved = np.max(np.abs(after - before))
             assert moved <= 1e-9 if (perm, flips) in kept else moved > 1e-6
+
+
+def test_gathered_node_weights_equal_weights_at_the_points():
+    """A task's points take their weights from the node tables: the same bits
+    as the weights computed at each point's angles, on baccari's π/60 grid."""
+    with open_grid(baccari_functional(), math.pi / 60, 1) as grid:
+        parties, rows = np.arange(4), grid.indices
+        gathered = [w[parties, rows] for w in node_weights(grid.angles)]
+        direct = node_weights(grid.angles[parties, rows])
+    for a, b in zip(gathered, direct):
+        assert a.shape == (len(rows), 4, 3)
+        assert np.array_equal(a, b)
 
 
 def test_angle_nodes_hold_quarter_pi_once():
@@ -422,7 +433,7 @@ def test_branch_at_quarter_pi_leaves_operators_unchanged(operator):
     angles[at_quarter] = angle_nodes(math.pi / 12)[3]
     flipped = np.where(at_quarter, -branches, branches)
     (k_op, b_op), (k_flip, b_flip) = (
-        certificate_operators(angles, b, f) for b in (branches, flipped)
+        certificate_operators(*branch_weights(angles, b), f) for b in (branches, flipped)
     )
     assert np.max(np.abs(k_op - k_flip)) <= 1e-15
     assert np.array_equal(b_op, b_flip)
@@ -444,7 +455,7 @@ def test_open_grid_sizes(operator, pi_over, size):
     sorted tuples for mermin, whose parties are all interchangeable."""
     f = get_functional(operator)
     with open_grid(f, math.pi / pi_over, 1) as grid:
-        rows, n = grid.indices, len(grid.node_angles)
+        rows, n = grid.indices, grid.angles.shape[1]
     group = symmetry_group(f)
     images = group_images(rows, group, n)
     keys = np.sort(images @ n ** np.arange(4), axis=1)
@@ -474,7 +485,7 @@ def test_every_product_point_maps_into_the_grid(operator):
     """At π/12, some element maps each of the 7⁴ product points onto a grid row."""
     f = get_functional(operator)
     with open_grid(f, math.pi / 12, 1) as grid:
-        rows, n = grid.indices, len(grid.node_angles)
+        rows, n = grid.indices, grid.angles.shape[1]
     product = np.indices((n,) * 4).reshape(4, -1).T
     keys = group_images(product, symmetry_group(f), n) @ n ** np.arange(4)
     assert np.isin(keys, rows @ n ** np.arange(4)).any(axis=1).all()
@@ -568,10 +579,11 @@ def test_small_grid_forks_no_worker(monkeypatch):
 
 def test_refine_maps_over_the_pool(inline_pool):
     """mermin π/8's 20 grid points are searched in this process, and --refine's
-    20 sub-grids of 625 points each on the pool, forked once."""
+    sub-grid of 20 · 625 = 12,500 points in eight chunks on the pool, forked once."""
     f = mermin_functional()
     result = bound_search(f, grid_step=math.pi / 8, threads=2, refine=True)
-    assert (inline_pool.workers, inline_pool.maps) == ([2], [result.points]) == ([2], [20])
+    assert result.points == 20
+    assert (inline_pool.workers, inline_pool.maps) == ([2], [8])
     assert result == bound_search(f, grid_step=math.pi / 8, threads=1, refine=True)
 
 
@@ -628,9 +640,7 @@ def test_bound_search_refinement_reports_lower_minimum():
 
 
 def _threshold(angles, functional):
-    return float(
-        slope_thresholds(np.array([angles]), np.array([branches_of(angles)]), functional)[0]
-    )
+    return float(slope_thresholds(*node_weights(np.array([angles])), functional)[0])
 
 
 @pytest.mark.parametrize(
@@ -645,6 +655,21 @@ def test_slope_threshold_closed_forms(angles, expected):
     """Per-point thresholds equal the spectrum (8s − 1), corner (4s − 7/8)
     and biseparable-witness oracles above."""
     assert _threshold(angles, mermin_functional()) == pytest.approx(expected, abs=1e-12)
+
+
+#: zhao's all-zero corner threshold, the slope its grids certify
+ZHAO_CORNER_SLOPE = (52 + 53 * math.sqrt(2)) / 128
+
+
+def test_zhao_slope_is_its_corner_closed_form():
+    """zhao's all-zero corner has threshold (52 + 53√2)/128, and the search at
+    π/12 and π/24 returns it."""
+    f = zhao_functional()
+    corner = slope_thresholds(*node_weights(np.zeros((1, 4))), f)
+    assert abs(corner[0] - ZHAO_CORNER_SLOPE) <= 1e-12
+    for pi_over in (12, 24):
+        assert abs(bound_search(f, grid_step=math.pi / pi_over).bound.s
+                   - ZHAO_CORNER_SLOPE) <= 1e-12
 
 
 def test_slope_threshold_infinite_when_kernel_misses_ghz():
@@ -735,9 +760,9 @@ def test_lazy_refine_matches_two_pass_search(operator, pi_over, monkeypatch):
     orders them: at baccari's seed slopes, below s, 2 (π/12) and 16 (π/24) of
     the 100 would differ."""
     selftest = importlib.import_module("ghzcert.selftest")
-    seeds, exact = [], selftest._refine_tasks
-    monkeypatch.setattr(selftest, "_refine_tasks",
-                        lambda s, grid, rows, step: seeds.append(rows) or exact(s, grid, rows, step))
+    seeds, exact = [], selftest._refine_grid
+    monkeypatch.setattr(selftest, "_refine_grid",
+                        lambda grid, rows, step: seeds.append(rows) or exact(grid, rows, step))
     f = get_functional(operator)
     step = math.pi / pi_over
     lazy = bound_search(f, grid_step=step, threads=2, refine=True)
@@ -793,7 +818,7 @@ def test_worst_point_is_the_first_among_ties(monkeypatch):
                         lambda s, angles, *rest: np.zeros(len(angles)))
     result = bound_search(mermin_functional(), grid_step=math.pi / 8)
     with open_grid(mermin_functional(), math.pi / 8, 1) as grid:
-        first = tuple(grid.node_angles[grid.indices[0]])
+        first = grid.point(grid.indices[0])
     assert (result.worst_point, result.min_eig, result.bound.s) == (first, 0.0, 7 / 32)
 
 
