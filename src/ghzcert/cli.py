@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed eigenvalue slack for grid feasibility")
     p_bound.add_argument("--refine", action="store_true",
                          help="refine locally around the worst grid points")
-    p_bound.add_argument("--threads", type=int, default=1, help="grid workers")
+    p_bound.add_argument("--threads", type=int, default=1,
+                         help="grid workers; they help only with BLAS pinned to one "
+                              "thread, e.g. OPENBLAS_NUM_THREADS=1")
     add_common(p_bound, seed=False)
 
     p_cert = sub.add_parser("certify", help="maximum certified extractability")
@@ -212,7 +214,8 @@ def _cmd_simulate(args) -> int:
         delta=args.delta, seed=args.seed,
     )
     if args.out is not None:
-        Path(args.out).write_text(transcript.to_jsonl(), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            transcript.to_jsonl(handle)
     summary = {
         "operator": args.operator,
         "source": args.source,

@@ -176,7 +176,7 @@ def parse_events(stream) -> Events:
 
 def _round_wins(events: Events, rows: np.ndarray, game: NonlocalGame, seed: int) -> np.ndarray:
     """Win flags of the rounds made of ``rows``, scored in round order."""
-    terms = game.draw_terms(events.inputs[rows], rng_for(seed, 0, TAG_SCORE))
+    terms = game.draw_terms(events.inputs[rows], rng_for(seed, TAG_SCORE))
     return game.won_terms(terms, events.outcomes[rows])
 
 
@@ -186,7 +186,7 @@ def strict_select(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
     by_window = np.argsort(events.window_id, kind="stable")  # each window's events in file order
     _, first, counts = np.unique(events.window_id, return_index=True, return_counts=True)
     order = np.argsort(first)
-    picks = rng_for(seed, 0, TAG_SELECT).integers(0, counts[order])
+    picks = rng_for(seed, TAG_SELECT).integers(0, counts[order])
     rows = by_window[(np.cumsum(counts) - counts)[order] + picks]
     return rows, _round_wins(events, rows, game, seed)
 
@@ -194,7 +194,7 @@ def strict_select(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
 def decomposed(events: Events, game: NonlocalGame, seed: int = 0) -> tuple:
     """Every event becomes a round, shuffled by a seeded permutation:
     (rows of ``events`` in round order, their win flags)."""
-    rows = rng_for(seed, 0, TAG_SHUFFLE).permutation(len(events))
+    rows = rng_for(seed, TAG_SHUFFLE).permutation(len(events))
     return rows, _round_wins(events, rows, game, seed)
 
 
@@ -208,7 +208,7 @@ def replay(events: Events, game: NonlocalGame, bound: SelfTestBound, mode: str =
     check_delta(delta)
     rows, won = (strict_select if mode == "strict" else decomposed)(events, game, seed)
     n = len(rows)
-    held = hold_out(n, min(n, 1), rng_for(seed, 0, TAG_HOLDOUT))
+    held = hold_out(n, min(n, 1), rng_for(seed, TAG_HOLDOUT))
     inputs, outcomes = events.inputs[rows], events.outcomes[rows]
     inputs[held] = outcomes[held] = 0
     transcript = Transcript(inputs, outcomes, won & ~held, held, seed)

@@ -6,8 +6,8 @@ out, the rest are measured: each round draws a game input, samples the joint
 resulting pass rate feeds the finite-sample inversion.
 
 Rounds are sampled in chunks from one Philox stream whose counter is the
-round index (see :func:`run_protocol`); only the hold-out and the block
-source's per-block flags use :func:`~ghzcert.rng.rng_for` Generators.
+round index (see :func:`run_protocol`), block flags from one counted by block;
+only the hold-out uses a :func:`~ghzcert.rng.rng_for` Generator.
 
 Rounds live in one column table, :class:`Transcript`, which replay builds
 too; :func:`hold_out` is the one hold-out draw and :func:`certification_query`
@@ -21,7 +21,6 @@ models, not adversary models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,14 +95,9 @@ class BlockCorrelated(_NoiseLaw):
 
     def alphas(self, start: int, stop: int, n_rounds: int, seed: int) -> np.ndarray:
         first, last = start // self.block_length, (stop - 1) // self.block_length
-        draws = np.array([_block_draw(seed, b) for b in range(first, last + 1)])
+        draws = _uniforms(round_words(seed, TAG_BLOCK, first, last + 1 - first)[:, 0])
         bad = draws[np.arange(start, stop) // self.block_length - first] < self.bad_fraction
         return np.where(bad, self.alpha_bad, self.alpha_good)
-
-
-@lru_cache(maxsize=1)  # rounds come in order, so each block's draw is made once
-def _block_draw(seed: int, block: int) -> float:
-    return rng_for(seed, block, TAG_BLOCK).random()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +135,20 @@ class Transcript:
         return isinstance(other, Transcript) and all(
             map(np.array_equal, vars(self).values(), vars(other).values()))
 
-    def to_jsonl(self) -> str:
-        """One JSON object per round: round_index, input, outcomes, won, held_out
-        (null input, outcomes and won on held-out rounds)."""
-        rows = zip(self.inputs.tolist(), self.outcomes.tolist(), self.won.tolist(),
-                   self.held_out.tolist())
-        return "\n".join(
-            f'{{"round_index": {j}, "input": null, "outcomes": null, "won": null, '
-            f'"held_out": true}}' if held else
-            f'{{"round_index": {j}, "input": {i}, "outcomes": {o}, '
-            f'"won": {"true" if w else "false"}, "held_out": false}}'
-            for j, (i, o, w, held) in enumerate(rows)
-        ) + "\n"
+    def to_jsonl(self, handle) -> None:
+        """Write one JSON line per round, ``SIMULATE_CHUNK_ROUNDS`` lines per
+        ``handle.write``: round_index, input, outcomes, won, held_out (null
+        input, outcomes and won on held-out rounds)."""
+        for lo in range(0, self.n, SIMULATE_CHUNK_ROUNDS):
+            hi = lo + SIMULATE_CHUNK_ROUNDS
+            rows = zip(self.inputs[lo:hi].tolist(), self.outcomes[lo:hi].tolist(),
+                       self.won[lo:hi].tolist(), self.held_out[lo:hi].tolist())
+            handle.write("".join(
+                f'{{"round_index": {j}, "input": null, "outcomes": null, "won": null, '
+                f'"held_out": true}}\n' if held else
+                f'{{"round_index": {j}, "input": {i}, "outcomes": {o}, '
+                f'"won": {"true" if w else "false"}, "held_out": false}}\n'
+                for j, (i, o, w, held) in enumerate(rows, lo)))
 
 
 def outcome_table(rho: np.ndarray, settings) -> np.ndarray:
@@ -266,7 +262,7 @@ def run_protocol(
     fixed = np.array([[s or 0 for s in t] for t in term_settings], dtype=np.uint64)
     term_cdf = np.cumsum(game.input_distribution)
 
-    held = hold_out(n_rounds, n_cert, rng_for(seed, 0, TAG_HOLDOUT))
+    held = hold_out(n_rounds, n_cert, rng_for(seed, TAG_HOLDOUT))
     inputs = np.zeros((n_rounds, 4), dtype=np.int8)
     outcomes = np.zeros((n_rounds, 4), dtype=np.int8)
     won = np.zeros(n_rounds, dtype=bool)

@@ -202,7 +202,7 @@ def test_criterion_8_end_to_end_replay(tmp_path):
     game = to_game(get_functional("mermin"))
     _, _, bound = operator_context("mermin")
     n_windows, wins = 4644, 4518  # wins/(n-1) brackets 0.973 after one holdout
-    rng = rng_for(314159, 0, 42)
+    rng = rng_for(314159, 42)
     won_flags = np.zeros(n_windows, dtype=bool)
     won_flags[:wins] = True
     rng.shuffle(won_flags)

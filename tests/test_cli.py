@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, output formats, reproducibility."""
 
 import importlib
+import io
 import json
 import math
 import os
@@ -403,7 +404,9 @@ def test_replay_cli_round_trip(tmp_path, capsys):
         held_out=np.array([d["held_out"] for d in docs]),
         seed=21,
     )
-    assert transcript.to_jsonl() == (tmp_path / "t.jsonl").read_text()
+    text = io.StringIO()
+    transcript.to_jsonl(text)
+    assert text.getvalue() == (tmp_path / "t.jsonl").read_text()
     (tmp_path / "events.jsonl").write_text(
         events_to_jsonl(events_from_transcript(transcript))
     )

@@ -29,8 +29,8 @@ SIMULATE_GOLDEN = {
                  "61589775f040881d57b99d675ed2ed1e418c9017a334519f1d99a94afe512647"),
     "block": (["--source", "block", "--alpha-good", "0.05", "--alpha-bad", "1.0",
                "--block-length", "7", "--bad-fraction", "0.3"],
-              "52903592f19e85cf8c44cf7e2eb1124f49f1f4eebae6cfc0e6ba1b9f23f219c3",
-              "b44b1b3dab84ff5e70cac91b20ae541c5ea5d7fdb6b2ac6cce2d27dec284bf4a"),
+              "ef7c8ea9bc3bc005478f67a73b9fff80da0abe4da8d3cefb1ee8a59ab090d28a",
+              "8eb29d754e4e809b74a1b934ff4b0504ea0ece45a2eb7ca982f717ebd8a0a306"),
 }
 
 EVENTS_DIGEST = "bba2fc9fe7ec4994fbf122732dc665c090851d61cb1169756625e851dd0ce05c"

@@ -326,7 +326,7 @@ def test_hold_out_uniform_over_two_rounds():
     first = 0
     reps = 2000
     for seed in range(reps):
-        held = hold_out(2, 1, rng_for(seed, 0, TAG_HOLDOUT))
+        held = hold_out(2, 1, rng_for(seed, TAG_HOLDOUT))
         assert held.sum() == 1
         first += held[0]
     sigma = math.sqrt(reps * 0.25)
@@ -334,8 +334,8 @@ def test_hold_out_uniform_over_two_rounds():
 
 
 def test_hold_out_deterministic():
-    a = hold_out(10, 1, rng_for(4, 0, TAG_HOLDOUT))
-    b = hold_out(10, 1, rng_for(4, 0, TAG_HOLDOUT))
+    a = hold_out(10, 1, rng_for(4, TAG_HOLDOUT))
+    b = hold_out(10, 1, rng_for(4, TAG_HOLDOUT))
     assert np.array_equal(a, b)
 
 

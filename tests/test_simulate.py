@@ -1,6 +1,7 @@
 """Protocol Monte Carlo: sampling statistics, determinism, source models."""
 
 import importlib
+import io
 import json
 import math
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import mermin_functional, to_game, zhao_functional
-from ghzcert.certification import operator_context
+from ghzcert.certification import noisy_pass_rate, operator_context
 from ghzcert.quantum import ghz_state, maximally_mixed, noisy_ghz
-from ghzcert.rng import TAG_BLOCK, TAG_ROUND, rng_for
+from ghzcert.rng import TAG_BLOCK, TAG_HOLDOUT, TAG_ROUND, rng_for
 from ghzcert.simulate import (
     BlockCorrelated,
     Drifting,
@@ -119,19 +120,19 @@ def test_rounds_reproducible_out_of_order():
 def test_holdout_uniform():
     counts = np.zeros(10)
     for rep in range(10_000):
-        counts += hold_out(10, 1, rng_for(5, rep, 99))
+        counts += hold_out(10, 1, np.random.default_rng((5, rep, 99)))
     sigma = math.sqrt(10_000 * 0.1 * 0.9)
     assert np.all(np.abs(counts - 1000) < 3 * sigma)
 
 
 def test_holdout_distinct_indices():
-    held = hold_out(20, 7, rng_for(1, 0, 99))
+    held = hold_out(20, 7, rng_for(1, 99))
     assert held.dtype == bool and held.shape == (20,) and held.sum() == 7
 
 
 def test_holdout_rejects_more_copies_than_rounds():
     with pytest.raises(ValueError):
-        hold_out(3, 4, rng_for(1, 0, 99))
+        hold_out(3, 4, rng_for(1, 99))
 
 
 def test_degenerate_split_single_verification_round():
@@ -187,8 +188,15 @@ def test_block_correlated_caps_pass_rate():
     )
 
 
-def test_block_source_builds_one_generator_per_block(monkeypatch):
-    """1 Generator per block and 1 for the hold-out."""
+def block_uniform(seed, block):
+    """Block ``block``'s flag: the top 53 bits of word 0 at its own Philox counter."""
+    key = np.random.SeedSequence((seed, TAG_BLOCK)).generate_state(2, np.uint64)
+    word = int(np.random.Philox(key=key).advance(block).random_raw(4)[0])
+    return (word >> 11) * 2.0**-53
+
+
+def test_block_source_calls_rng_for_once_for_the_hold_out(monkeypatch):
+    """The block flags come from Philox; the one Generator is the hold-out's."""
     calls = []
 
     def counting_rng_for(*key):
@@ -196,12 +204,36 @@ def test_block_source_builds_one_generator_per_block(monkeypatch):
         return rng_for(*key)
 
     source = BlockCorrelated(alpha_good=0.05, alpha_bad=1.0, block_length=7, bad_fraction=0.3)
-    run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)  # counted again below
     monkeypatch.setattr(SIMULATE_MODULE, "rng_for", counting_rng_for)
     run_protocol(source, MERMIN_GAME, n_rounds=100, n_cert=3, seed=58)
-    assert len(calls) == 15 + 1  # 15 blocks of at most 7 rounds
-    assert [source.alpha_at(j, 100, 58) for j in range(100)] == [
-        1.0 if rng_for(58, j // 7, TAG_BLOCK).random() < 0.3 else 0.05 for j in range(100)]
+    assert calls == [(58, TAG_HOLDOUT)]
+    expected = [1.0 if block_uniform(58, j // 7) < 0.3 else 0.05 for j in range(100)]
+    assert [source.alpha_at(j, 100, 58) for j in range(100)] == expected
+    assert set(expected) == {0.05, 1.0}
+
+
+def test_block_pass_rate_calibrated_over_seeds():
+    """Pass-rate z-scores against the exact mean given each seed's block flags.
+
+    The benchmark's block source at 2e4 rounds, seeds 0-99: a flag stream that
+    disagreed with ``alphas``, or a sampler biased on bad blocks, would shift
+    the mean or widen the spread.
+    """
+    source = BlockCorrelated(alpha_good=0.05, alpha_bad=1.0, block_length=100,
+                             bad_fraction=0.1)
+    rate = {a: noisy_pass_rate("mermin", a) for a in (source.alpha_good, source.alpha_bad)}
+    n = 20_000
+    z = []
+    for seed in range(100):
+        transcript, _ = run_protocol(source, MERMIN_GAME, n_rounds=n, n_cert=1, seed=seed)
+        alphas = source.alphas(0, n, n, seed)[~transcript.held_out]
+        p = np.where(alphas == source.alpha_bad, rate[source.alpha_bad], rate[source.alpha_good])
+        sigma = math.sqrt(float(np.sum(p * (1 - p)))) / len(p)
+        z.append((transcript.pass_rate - float(p.mean())) / sigma)
+    z = np.array(z)
+    assert abs(z.mean()) <= 0.4
+    assert 0.8 <= z.std() <= 1.2
+    assert np.abs(z).max() < 4.5
 
 
 SOURCES = [IIDNoisy(0.2), Drifting(0.02, 0.4),
@@ -216,7 +248,7 @@ def scalar_alpha(source, j, n, seed):
         if n <= 1:
             return source.alpha_start
         return source.alpha_start + (source.alpha_end - source.alpha_start) * (j / (n - 1))
-    bad = rng_for(seed, j // source.block_length, TAG_BLOCK).random() < source.bad_fraction
+    bad = block_uniform(seed, j // source.block_length) < source.bad_fraction
     return source.alpha_bad if bad else source.alpha_good
 
 
@@ -230,13 +262,23 @@ def test_vectorized_alphas_equal_alpha_at(source):
         assert np.concatenate(pieces).tolist() == expected
 
 
+def jsonl(transcript):
+    """The text ``to_jsonl`` writes."""
+    handle = io.StringIO()
+    transcript.to_jsonl(handle)
+    return handle.getvalue()
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("source", SOURCES, ids=["iid", "drifting", "block"])
 def test_transcript_independent_of_chunk_size(source, chunk, monkeypatch):
     args = dict(n_rounds=60, n_cert=4, seed=12)
     reference, _ = run_protocol(source, MERMIN_GAME, **args)
+    reference_text = jsonl(reference)  # written in one chunk
     monkeypatch.setattr(SIMULATE_MODULE, "SIMULATE_CHUNK_ROUNDS", chunk)
-    assert run_protocol(source, MERMIN_GAME, **args)[0] == reference
+    transcript = run_protocol(source, MERMIN_GAME, **args)[0]
+    assert transcript == reference
+    assert jsonl(transcript) == reference_text
 
 
 def test_top_uniform_never_picks_zero_probability_outcome():
@@ -261,7 +303,7 @@ def test_certification_attached_to_transcript():
 
 def test_transcript_jsonl_format():
     transcript, _ = run_protocol(IIDNoisy(0.2), MERMIN_GAME, n_rounds=6, n_cert=2, seed=9)
-    lines = transcript.to_jsonl().strip().split("\n")
+    lines = jsonl(transcript).strip().split("\n")
     assert len(lines) == 6
     held = 0
     for line in lines:
