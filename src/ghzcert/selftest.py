@@ -27,12 +27,12 @@ order, so results do not depend on the worker count.
 The grid holds one point per orbit of the functional's symmetry group
 (``symmetry_group``, ``_orbit_rows``). An element permutes the parties and
 reflects some of them, α ↦ π/2 − α, which swaps the σ₊ and σ₋ weights of
-both operators. It counts only when a unitary W maps every K and B table
-entry onto the entry the element moves it to: then K and B at a point's
-image are W's conjugates of K and B at the point, for every angle tuple at
-once. mermin's group has 192 elements, baccari's 48 and zhao's 16; at π/60
-the grid holds 6,936, 25,296 and 67,456 points of the 46,376 sorted tuples
-and two 923,521-point products that it held before.
+both operators. It counts only when a local Clifford W (the permutation, a
+Hadamard on each reflected party and a Pauli per party, in the frames below)
+maps every K and B table entry onto the entry the element moves it to: then
+at every angle tuple, K and B at its image are W's conjugates of K and B at
+it. mermin's group has 192 elements, baccari's 48 and zhao's 16; at π/60
+the grid holds 6,936, 25,296 and 67,456 of the product's 923,521 points.
 
 Both operators are multilinear in one 3-vector per party over that party's
 basis (𝟙, σ₊, σ₋), with σ± = (O₀ ± O₁)/√2 from its ideal settings. A Jordan
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellFunctional, get_functional
-from .quantum import I2, ghz_state, is_dichotomic, kron_all
+from .quantum import I2, X, Z, ghz_state, is_dichotomic, kron_all
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -103,16 +103,16 @@ SEARCH_CHUNKS = 8
 SEARCH_CHUNK_ROWS = 2048
 #: a table entry off P's blocks, or an imaginary part, this small is rounding
 BLOCK_TOL = 1e-12
-#: a symmetry candidate passes the screen when a generic operator keeps its
-#: spectrum to SCREEN_TOL relative to the largest eigenvalue; it is proven
-#: when a unitary maps every table entry onto its image to PROOF_TOL
-SCREEN_TOL = 1e-9
+#: a symmetry candidate is proven when W maps each table entry onto its image to this
 PROOF_TOL = 1e-12
-#: relative to the largest, an eigenvalue of the conjugator system's normal
-#: matrix, or a singular value of its solution, this small is zero
-NULL_TOL = 1e-9
 #: a table row's basis index on a reflected party: 𝟙 stays, σ₊ and σ₋ swap
-_REFLECTED = np.array([0, 2, 1])
+_REFLECTED = np.array([0, 2, 1], dtype=np.int8)
+#: the Paulis 𝟙, X, Z, XZ of a party's frame (σ₊ = Z, σ₋ = X), real and exact in
+#: int8, the sign each one's conjugation gives 𝟙, σ₊ and σ₋, and the Hadamard,
+#: which swaps σ₊ and σ₋
+_PAULIS = np.array([I2, X, Z, [[0, -1], [1, 0]]]).real.astype(np.int8)
+_PAULI_SIGNS = np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]])
+_HADAMARD = (X + Z).real / SQRT2
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
 #: the π/12 grid certificate, but baccari's fails off that grid: at
@@ -208,6 +208,20 @@ def channel_weight(alpha: float | np.ndarray) -> float | np.ndarray:
 _SETTING_FACTORS = {None: (1.0, 0.0, 0.0), 0: (0.0, 1.0, 1.0), 1: (0.0, 1.0, -1.0)}
 
 
+@functools.cache  # not at import: LAPACK's first call costs about 1 MB of RSS
+def _parity_basis() -> np.ndarray:
+    """Q: the parity (XZ)^⊗4's real eigenvectors in the parties' frames, −1 first."""
+    return np.linalg.eigh(kron_all([_PAULIS[3]] * 4))[1]
+
+
+def _term_factors(functional: BellFunctional) -> np.ndarray:
+    """(terms, parties, 3) coefficients of each term's factor over each party's
+    (𝟙, σ₊, σ₋) at weights (1, 1, 1), party 1's scaled by the term's coefficient."""
+    factors = np.array([[_SETTING_FACTORS[s] for s in t.settings] for t in functional.terms])
+    factors[:, 0] *= np.array([t.coefficient for t in functional.terms])[:, None]
+    return factors
+
+
 def _kron_table(stacks: np.ndarray) -> np.ndarray:
     """Σ_t stacks[t,0,j₁] ⊗ … ⊗ stacks[t,3,j₄] for every index tuple j.
 
@@ -235,12 +249,9 @@ def _certificate_tables(functional: BellFunctional) -> tuple[np.ndarray, ...]:
         w = np.linalg.eigh(plus)[1][:, ::-1]  # columns: σ₊ = +1, −1
         phase = w[:, 1].conj() @ minus @ w[:, 0]
         frames.append(w * [1.0, phase / abs(phase)])
-    xz = np.array([[0.0, -1.0], [1.0, 0.0]])
-    u = kron_all(frames) @ np.linalg.eigh(kron_all([xz] * 4))[1]
+    u = kron_all(frames) @ _parity_basis()
     basis = np.array([(I2, *pair) for pair in sigmas])
-    select = np.array([[_SETTING_FACTORS[s] for s in t.settings] for t in functional.terms])
-    select[:, 0] *= np.array([t.coefficient for t in functional.terms])[:, None]
-    b_table = _kron_table(select[..., None, None] * basis)
+    b_table = _kron_table(_term_factors(functional)[..., None, None] * basis)
     e_table = _kron_table(basis[None])
     tables = u.conj().T @ np.stack([e_table @ ghz_state() @ e_table, b_table]) @ u
     split = tables.reshape(2, 81, 2, 8, 2, 8)
@@ -353,13 +364,6 @@ class SymmetryGroup:
         return len(self.perms)
 
 
-def _generic(n: int) -> np.ndarray:
-    """n fixed numbers in (−1/2, 1/2) with no rational relation among them up to
-    rounding (a golden-ratio Weyl sequence), in place of random draws: numpy's
-    random module costs about 9 MB of RSS and 20 ms to import."""
-    return np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0 - 0.5
-
-
 def _binary(values, width: int) -> np.ndarray:
     """The ``width`` bits of each value, most significant first: (len(values), width)."""
     return (np.asarray(values)[:, None] >> np.arange(width - 1, -1, -1)) & 1
@@ -370,51 +374,30 @@ def _from_binary(bits: np.ndarray) -> np.ndarray:
 
 
 def _table_image(perm: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Where each table row goes when party p moves to perm[p], reflected where
-    flips[p]: σ₊ and σ₋ swap on a reflected party."""
-    digits = np.indices((3,) * len(perm)).reshape(len(perm), -1).T  # the rows' basis indices
-    moved = np.empty_like(digits)
-    moved[:, perm] = np.where(flips, _REFLECTED[digits], digits)
-    return moved @ 3 ** np.arange(len(perm) - 1, -1, -1)
+    """Where each table row goes when party p moves to perm[..., p], reflected
+    where flips[..., p]: σ₊ and σ₋ swap on a reflected party. Leading axes
+    are candidates: (..., parties) arguments give (..., 3^parties) rows."""
+    parties = perm.shape[-1]
+    digits = np.indices((3,) * parties, np.int8).reshape(parties, -1)  # the rows' basis indices
+    moved = np.where(flips[..., None], _REFLECTED[digits], digits)
+    return np.einsum("...pr,...p->...r", moved, 3 ** (parties - 1 - perm))
 
 
 def _dense(table: np.ndarray) -> np.ndarray:
     """A (rows, blocks, d, d) table as (rows, blocks·d, blocks·d) block diagonals."""
     rows, blocks, d, _ = table.shape
-    dense = np.zeros((rows, blocks * d, blocks * d), table.dtype)
-    for b in range(blocks):
-        dense[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = table[:, b]
-    return dense
+    dense = np.zeros((rows, blocks, d, blocks, d), table.dtype)
+    dense[:, np.arange(blocks), :, np.arange(blocks)] = table.swapaxes(0, 1)
+    return dense.reshape(rows, blocks * d, blocks * d)
 
 
-def _solve_conjugator(tables: np.ndarray, image: np.ndarray) -> np.ndarray | None:
-    """A unitary W with W·T_i = T_image[i]·W for every entry of a (rows, blocks,
-    d, d) table, as one (blocks·d)² matrix, or None.
-
-    W's block (a, b) solves the linear system W_ab·T_i,b = T_image[i],a·W_ab,
-    whose solutions are the kernel of its normal matrix Σ_i A_i†A_i with
-    A_i = 𝟙 ⊗ T_i,bᵀ − T_image[i],a ⊗ 𝟙 acting on W_ab's rows. W is the polar
-    factor of a generic element of all the blocks' solution spaces.
-    """
-    rows, blocks, d, _ = tables.shape
-    squares = (tables @ tables).sum(axis=0)  # Σ T_i² per block, as for T_image[i]
-    diagonal = np.arange(d)
-    w = np.zeros((blocks, d, blocks, d), tables.dtype)
-    for a, b in itertools.product(range(blocks), repeat=2):
-        cross = tables[image, a].reshape(rows, -1).T @ tables[:, b].conj().reshape(rows, -1)
-        normal = -2.0 * cross.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        normal[diagonal, :, diagonal, :] += squares[b].conj()  # 𝟙 ⊗ Σ T_i,b*²
-        normal[:, diagonal, :, diagonal] += squares[a]  # Σ T_i,a² ⊗ 𝟙
-        lam, vec = np.linalg.eigh(normal.reshape(d * d, d * d))
-        kernel = vec[:, lam <= NULL_TOL * lam[-1]]
-        w[a, :, b, :] = (kernel @ _generic(kernel.shape[1])).reshape(d, d)
-    left, sv, right = np.linalg.svd(w.reshape(blocks * d, blocks * d))
-    return left @ right if sv[-1] > NULL_TOL * sv[0] else None
-
-
-def _conjugates(w: np.ndarray | None, tables: np.ndarray, image: np.ndarray) -> bool:
-    """True when W·T_i·W† = T_image[i] for every table entry, to PROOF_TOL."""
-    return w is not None and np.abs(w @ tables @ w.conj().T - tables[image]).max() <= PROOF_TOL
+def _local_clifford(perm: np.ndarray, flips: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """W in U's basis for each of a stack of Pauli strings in the parties' frames:
+    the string, then a Hadamard on each party where flips[p], then party p's
+    qubit moved to perm[p]. W·E_j·W† is E_image(j) times the string's sign."""
+    local = kron_all([_HADAMARD if f else np.eye(2) for f in flips])
+    rows = _binary(np.arange(len(local)), len(perm)) @ (1 << (len(perm) - 1 - perm))
+    return _parity_basis().T @ local[np.argsort(rows)] @ strings @ _parity_basis()
 
 
 def _closure(generators: list) -> list:
@@ -434,40 +417,42 @@ def symmetry_group(functional: BellFunctional) -> SymmetryGroup:
     """The party permutations and reflections that the certificate tables prove.
 
     An element moves K's and B's table rows by ``_table_image``. It counts
-    only when a unitary W satisfies W·T_i·W† = T_image[i] on all 81 K and 81 B
-    table entries, to PROOF_TOL; K and B at a point's image are then W's
-    conjugates of K and B at the point, with the same threshold and spectrum.
-    All 2ⁿ·n! candidates are screened on generic per-party weights, and only
-    those that the elements proven so far do not generate are proven, with W
-    from ``_solve_conjugator``. Parties that some element's
+    only when a ``_local_clifford`` W satisfies W·T_i·W† = T_image[i] on all 81
+    K and 81 B table entries, to PROOF_TOL; K and B at a point's image are then
+    W's conjugates of K and B at the point, with the same threshold and
+    spectrum. W maps E_j to ±E_image(j), and B's entry j is b_j·E_j, so only
+    the Pauli strings whose signs carry b onto b[image] are tried, none when
+    |b[image]| ≠ |b|. Of the 2ⁿ·n! candidates, only those that the elements
+    proven so far do not generate are proven. Parties that some element's
     transposition swaps form a class; elements whose permutation leaves a
     class are dropped, so that sorting within classes picks a point's orbit.
     """
     _, k_table, b_table = _certificate_tables(functional)
     parties = functional.parties
-    perms = np.array(list(itertools.permutations(range(parties))))
-    flips = _binary(np.arange(2**parties), parties).astype(bool)
-    perms, flips = np.repeat(perms, len(flips), axis=0), np.tile(flips, (len(perms), 1))
     # permutations first, then by the number of reflected parties: the first
     # candidates proven generate most of the rest, which need no proof
-    order = np.argsort(flips.sum(axis=1), kind="stable")
-    perms, flips = perms[order], flips[order]
-    vectors = _generic(2 * parties * 3).reshape(2, parties, 3)  # K's and B's weights
-    moved = np.where(flips[:, None, :, None], vectors[..., _REFLECTED], vectors)
-    moved = np.take_along_axis(moved, np.argsort(perms)[:, None, :, None], axis=2)
-    ops = _contract(moved[:, 0], k_table) + math.pi * _contract(moved[:, 1], b_table)
-    spectra = np.sort(np.linalg.eigvalsh(ops).reshape(len(perms), -1), axis=1)
-    screened = np.abs(spectra - spectra[0]).max(axis=1) <= SCREEN_TOL * np.abs(spectra).max()
-    tables = np.concatenate([k_table, b_table])
-    dense = _dense(tables)
+    candidates = sorted(itertools.product(itertools.permutations(range(parties)),
+                                          itertools.product((False, True), repeat=parties)),
+                        key=lambda element: sum(element[1]))
+    perms, flips = (np.array(part) for part in zip(*candidates))
+    images = _table_image(perms, flips)
+    b = np.einsum("ta,tb,tc,td->abcd", *_term_factors(functional).swapaxes(0, 1)).reshape(-1)
+    strings = functools.reduce(np.kron, [_PAULIS] * parties)  # every Pauli string
+    signs = functools.reduce(np.kron, [_PAULI_SIGNS] * parties)  # its sign on each row
+    tables = _dense(np.concatenate([k_table, b_table]))
+    matched = np.abs(np.abs(b[images]) - np.abs(b)).max(axis=1) <= PROOF_TOL
     generators, group = [], [(tuple(range(parties)), (False,) * parties)]
-    for perm, flip in zip(perms[screened], flips[screened]):
+    for perm, flip, image in zip(perms[matched], flips[matched], images[matched]):
         element = (tuple(perm.tolist()), tuple(flip.tolist()))
         if element in group:
             continue
-        image = _table_image(perm, flip)
-        image = np.concatenate([image, image + len(k_table)])
-        if _conjugates(_solve_conjugator(tables, image), dense, image):
+        found = np.abs(signs * b - b[image]).max(axis=1) <= PROOF_TOL
+        ws = _local_clifford(perm, flip, strings[found])
+        # K's entry 0, the GHZ projector, is its own image: a cheap first test
+        fixed = np.abs(ws @ tables[0] @ ws.transpose(0, 2, 1) - tables[0]).max(axis=(1, 2))
+        rows = np.concatenate([image, image + len(k_table)])
+        if any(np.abs(w @ tables @ w.T - tables[rows]).max() <= PROOF_TOL
+               for w in ws[fixed <= PROOF_TOL]):
             generators.append(element)
             group = _closure(generators)
     classes = [{p} for p in range(parties)]

@@ -13,7 +13,11 @@ second way, against the package's closed-form inversion. The full product
 grid and every group element's image of a grid row check the grid that
 keeps one point per symmetry orbit, and the two-pass search (every
 threshold, then a full certificate pass, and every refine seed's points built
-here) checks the lazy one. The violation at
+here) checks the lazy one. ``solve_conjugator`` finds the unitary that proves
+a symmetry candidate from the table entries alone, by linear algebra, where
+the package builds an explicit local Clifford, and ``corner_threshold`` gives
+the threshold at a corner of the grid from diagonal entries, one at a time.
+The violation at
 arbitrary settings, the density-matrix check, the exhaustive classical bound,
 the functional writer and the event-file writer serve the tests alone; no
 pipeline calls them.
@@ -33,7 +37,13 @@ from ghzcert.certification import (
     confidence_bound,
     kl,
 )
-from ghzcert.quantum import expectation, hermitian_eigenvalues, is_hermitian
+from ghzcert.quantum import (
+    expectation,
+    ghz_vector,
+    hermitian_eigenvalues,
+    is_hermitian,
+    kron_all,
+)
 from ghzcert.replay import FIELDS, Events
 from ghzcert.selftest import (
     HALF_PI,
@@ -42,6 +52,7 @@ from ghzcert.selftest import (
     SEARCH_CHUNKS,
     BoundSearchError,
     BoundSearchResult,
+    KERNEL_TOL,
     SelfTestBound,
     SymmetryGroup,
     _certificate_tables,
@@ -52,6 +63,7 @@ from ghzcert.selftest import (
     evaluate_grid,
     node_weights,
     open_grid,
+    sigma_basis,
     slope_thresholds,
     symmetry_group,
 )
@@ -64,6 +76,9 @@ EIGENVALUE_FLOOR = -1e-10
 ETA_TOL = 1e-12
 #: a pass rate above p_QM by at most this much is rounding, not an impossible rate
 EPSILON1_TOL = 1e-9
+#: relative to the largest, an eigenvalue of the conjugator system's normal
+#: matrix, or a singular value of its solution, this small is zero
+NULL_TOL = 1e-9
 WINDOW_SPAN_PS = 15_000_000_000_000  # 15 s acquisition per input
 
 
@@ -217,6 +232,69 @@ def group_images(rows: np.ndarray, group: SymmetryGroup, n_nodes: int) -> np.nda
     images = np.empty_like(moved)
     images[:, np.arange(len(perms))[:, None], perms] = moved
     return images
+
+
+def _generic(n: int) -> np.ndarray:
+    """n fixed numbers in (−1/2, 1/2) with no rational relation among them up to
+    rounding (a golden-ratio Weyl sequence)."""
+    return np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0 - 0.5
+
+
+def solve_conjugator(tables: np.ndarray, image: np.ndarray) -> np.ndarray | None:
+    """A unitary W with W·T_i = T_image[i]·W for every entry of a (rows, blocks,
+    d, d) table, as one (blocks·d)² matrix, or None.
+
+    W's block (a, b) solves the linear system W_ab·T_i,b = T_image[i],a·W_ab,
+    whose solutions are the kernel of its normal matrix Σ_i A_i†A_i with
+    A_i = 𝟙 ⊗ T_i,bᵀ − T_image[i],a ⊗ 𝟙 acting on W_ab's rows. W is the polar
+    factor of a generic element of all the blocks' solution spaces.
+    """
+    rows, blocks, d, _ = tables.shape
+    squares = (tables @ tables).sum(axis=0)  # Σ T_i² per block, as for T_image[i]
+    diagonal = np.arange(d)
+    w = np.zeros((blocks, d, blocks, d), tables.dtype)
+    for a, b in itertools.product(range(blocks), repeat=2):
+        cross = tables[image, a].reshape(rows, -1).T @ tables[:, b].conj().reshape(rows, -1)
+        normal = -2.0 * cross.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        normal[diagonal, :, diagonal, :] += squares[b].conj()  # 𝟙 ⊗ Σ T_i,b*²
+        normal[:, diagonal, :, diagonal] += squares[a]  # Σ T_i,a² ⊗ 𝟙
+        lam, vec = np.linalg.eigh(normal.reshape(d * d, d * d))
+        kernel = vec[:, lam <= NULL_TOL * lam[-1]]
+        w[a, :, b, :] = (kernel @ _generic(kernel.shape[1])).reshape(d, d)
+    left, sv, right = np.linalg.svd(w.reshape(blocks * d, blocks * d))
+    return left @ right if sv[-1] > NULL_TOL * sv[0] else None
+
+
+def corner_threshold(corner, functional: BellFunctional) -> float:
+    """The smallest slope passing the certificate at one corner of {0, π/2}⁴.
+
+    At α = 0 a party's observables are both σ₊ and its channel, with g = 0,
+    dephases in σ₊'s eigenbasis; at π/2 they are ±σ₋ and the channel dephases
+    in σ₋'s. So K and B are diagonal in the product of those eigenbases: K's
+    entry is |⟨x|GHZ⟩|², B's is Σ_t c_t·Π_p (party p's factor's eigenvalue at
+    x_p). The threshold is the largest (1 − K_x)/(β_Q − B_x), and ∞ where
+    β_Q − B_x vanishes and 1 − K_x does not.
+    """
+    bases = []
+    for alpha, pair in zip(corner, functional.ideal_settings):
+        plus, minus = sigma_basis(pair)
+        values, vectors = np.linalg.eigh(plus if alpha == 0.0 else minus)
+        # each setting's factor, 𝟙 for a party outside the term: its eigenvalues
+        factors = {None: np.ones(2), 0: values, 1: values if alpha == 0.0 else -values}
+        bases.append((vectors, factors))
+    threshold = -math.inf
+    for x in itertools.product(range(2), repeat=4):
+        vector = kron_all([vectors[:, i] for (vectors, _), i in zip(bases, x)])
+        k = abs(vector.conj() @ ghz_vector()) ** 2
+        b = sum(t.coefficient * math.prod(factors[s][i] for (_, factors), s, i
+                                          in zip(bases, t.settings, x))
+                for t in functional.terms)
+        gap = functional.beta_q - b
+        if gap > KERNEL_TOL * functional.beta_q:
+            threshold = max(threshold, (1.0 - k) / gap)
+        elif abs(1.0 - k) > KERNEL_TOL:
+            return math.inf
+    return threshold
 
 
 def violation_at(rho: np.ndarray, functional: BellFunctional, settings) -> float:

@@ -488,13 +488,13 @@ def test_replay_fuzzed_event_files_keep_cli_contract(tmp_path, capsys, monkeypat
             outcomes = [int(o) for o in 1 - 2 * rng.integers(0, 2, 4)]
             valid.append(json.dumps({"window_id": w, "input": inputs, "t_ps": 10 * w + e,
                                      "outcomes": outcomes}))
-    path = tmp_path / "events.jsonl"
 
     def reject(token):
         raise ValueError(f"non-finite JSON constant {token}")
 
     codes = []
-    for _ in range(200):
+    for i in range(200):
+        path = tmp_path / f"events{i}.jsonl"  # a fresh file per case: rewriting one is slow
         path.write_text("\n".join(_mutate(valid, rng)) + "\n")
         code, out = run_cli(["replay", "--input", str(path), "--mode",
                              str(rng.choice(["strict", "decomposed"]))], capsys)
@@ -552,13 +552,13 @@ def test_bound_fuzzed_operator_files_keep_cli_contract(functional, tmp_path, cap
     one JSON error line on exit 2, no exception out of the CLI."""
     rng = np.random.default_rng(14)
     valid = json.loads(functional_to_json(get_functional(functional)))
-    path = tmp_path / "operator.json"
 
     def reject(token):
         raise ValueError(f"non-finite JSON constant {token}")
 
     codes = []
-    for _ in range(60):
+    for i in range(60):
+        path = tmp_path / f"operator{i}.json"  # a fresh file per case: rewriting one is slow
         path.write_text(json.dumps(_mutate_functional(valid, rng)))
         code, out = run_cli(["bound", "--operator-file", str(path),
                              "--grid-step", repr(math.pi / 4)], capsys)

@@ -21,13 +21,12 @@ from ghzcert.bell import (
 from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
     LAZY_MARGIN,
+    PROOF_TOL,
     SEARCH_CHUNK_ROWS,
     BoundSearchError,
     SelfTestBound,
     _certificate_tables,
-    _conjugates,
     _dense,
-    _solve_conjugator,
     _table_image,
     angle_nodes,
     bound_search,
@@ -48,12 +47,14 @@ from reference import (
     branch_weights,
     build_K,
     certificate_min_eig,
+    corner_threshold,
     dense_operators,
     extraction_channel,
     functional_to_json,
     group_images,
     jordan_observable,
     product_grid_extrema,
+    solve_conjugator,
     two_pass_bound_search,
     violation_at,
 )
@@ -198,17 +199,31 @@ def test_builtin_tables_are_two_real_parity_blocks(operator):
             assert np.max(np.abs(parity @ op - op @ parity)) <= 1e-12
 
 
-def test_odd_body_off_plane_functional_keeps_one_complex_block():
-    """Mermin plus a 1-body and a 3-body term, with O₁ = cos 0.3·Y + sin 0.3·Z:
-    one complex 16×16 block, whose thresholds and certificate minima match
-    dense solves on the scalar reference operators."""
+def _odd_body_functional():
+    """Mermin plus a 1-body and a 3-body term, with O₁ = cos 0.3·Y + sin 0.3·Z."""
     o1 = math.cos(0.3) * Y + math.sin(0.3) * Z
     mermin = mermin_functional()
-    f = dataclasses.replace(
+    return dataclasses.replace(
         mermin, name="odd", beta_q=8.75, beta_alg=8.75, ideal_settings=((X, o1),) * 4,
         terms=mermin.terms
         + (BellTerm(0.5, (0, None, None, None)), BellTerm(-0.25, (1, 0, 1, None))),
     )
+
+
+def _changed_mermin():
+    """mermin with the (1, 1, 0, 0) term at −1.5, read back from its file."""
+    mermin = mermin_functional()
+    terms = tuple(dataclasses.replace(t, coefficient=-1.5) if t.settings == (1, 1, 0, 0) else t
+                  for t in mermin.terms)
+    return functional_from_json(functional_to_json(
+        dataclasses.replace(mermin, terms=terms, beta_alg=8.5)))
+
+
+def test_odd_body_off_plane_functional_keeps_one_complex_block():
+    """The odd-body functional (``_odd_body_functional``): one complex 16×16
+    block, whose thresholds and certificate minima match dense solves on the
+    scalar reference operators."""
+    f = _odd_body_functional()
     _, k_table, b_table = _certificate_tables(f)
     for table in (k_table, b_table):
         assert table.dtype == np.complex128 and table.shape == (81, 1, 16, 16)
@@ -362,10 +377,37 @@ def test_group_elements_keep_thresholds_and_minima(operator):
 
 def _proves(f, perm, k_flips, b_flips):
     """The proof check on one candidate whose K rows move with ``k_flips`` and
-    B rows with ``b_flips``: a unitary from the conjugator system maps them."""
+    B rows with ``b_flips``, with the reference solver's unitary: it maps every
+    table entry onto its image to PROOF_TOL."""
     tables = np.concatenate(_certificate_tables(f)[1:])
     image = np.concatenate([_table_image(perm, k_flips), _table_image(perm, b_flips) + 81])
-    return _conjugates(_solve_conjugator(tables, image), _dense(tables), image)
+    w, dense = solve_conjugator(tables, image), _dense(tables)
+    return w is not None and np.abs(w @ dense @ w.conj().T - dense[image]).max() <= PROOF_TOL
+
+
+ORACLE_FUNCTIONALS = {
+    "mermin": mermin_functional, "baccari": baccari_functional, "zhao": zhao_functional,
+    "changed mermin": _changed_mermin, "odd body": _odd_body_functional,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONALS))
+def test_symmetry_group_agrees_with_the_conjugator_solver(name):
+    """Of all 4!·2⁴ signed permutations, every element that ``symmetry_group``
+    keeps is proven by the reference solver, and every candidate that the
+    solver proves and whose permutation keeps the classes is kept."""
+    f = ORACLE_FUNCTIONALS[name]()
+    group = symmetry_group(f)
+    kept = {(tuple(perm), tuple(flips))
+            for perm, flips in zip(group.perms.tolist(), group.flips.tolist())}
+    assert len(kept) == group.order
+    for perm in itertools.permutations(range(4)):
+        if not all(perm[p] in c for c in group.classes for p in c):
+            assert not any(element[0] == perm for element in kept)
+            continue
+        for flips in itertools.product((False, True), repeat=4):
+            flip = np.array(flips)
+            assert _proves(f, np.array(perm), flip, flip) == ((perm, flips) in kept)
 
 
 @pytest.mark.parametrize("operator, flips", [
@@ -387,10 +429,7 @@ def test_changed_coefficient_loses_broken_symmetries():
     signed permutations, of all 4!·2⁴, that leave the certificate minima at
     s = 0.5 unchanged at 50 random points."""
     mermin = mermin_functional()
-    terms = tuple(dataclasses.replace(t, coefficient=-1.5) if t.settings == (1, 1, 0, 0) else t
-                  for t in mermin.terms)
-    f = functional_from_json(functional_to_json(
-        dataclasses.replace(mermin, terms=terms, beta_alg=8.5)))
+    f = _changed_mermin()
     group = symmetry_group(f)
     assert group.order < symmetry_group(mermin).order
     kept = {(tuple(perm), tuple(flips)) for perm, flips in zip(group.perms, group.flips)}
@@ -670,6 +709,34 @@ def test_zhao_slope_is_its_corner_closed_form():
     for pi_over in (12, 24):
         assert abs(bound_search(f, grid_step=math.pi / pi_over).bound.s
                    - ZHAO_CORNER_SLOPE) <= 1e-12
+
+
+CORNERS = np.array(list(itertools.product((0.0, math.pi / 2), repeat=4)))
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_corner_thresholds_match_the_diagonal_oracle(operator):
+    """At the 16 corners {0, π/2}⁴, the thresholds equal the scalar oracle's,
+    which reads K and B as diagonals in one product basis, to 1e-12."""
+    f = get_functional(operator)
+    oracle = [corner_threshold(corner, f) for corner in CORNERS]
+    assert np.max(np.abs(slope_thresholds(*node_weights(CORNERS), f) - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+@pytest.mark.parametrize("pi_over", [12, 60])
+def test_grid_slope_reaches_the_best_corner_threshold(operator, pi_over):
+    """Every grid holds the corners, so its slope is at least the oracle's best
+    corner threshold. mermin's and zhao's slopes are that corner's; baccari's
+    corners stay below its slope, whose maximum lies off the corners."""
+    f = get_functional(operator)
+    best = max(corner_threshold(corner, f) for corner in CORNERS)
+    s = bound_search(f, grid_step=math.pi / pi_over).bound.s
+    assert s >= best - 1e-12
+    if operator == "baccari":
+        assert best < s
+    else:
+        assert s <= best + 1e-12
 
 
 def test_slope_threshold_infinite_when_kernel_misses_ghz():
