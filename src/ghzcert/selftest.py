@@ -14,7 +14,14 @@ a point's minimum eigenvalue nondecreasing in s, so a point whose minimum at a
 slope s₀ is at least LAZY_MARGIN has its threshold below s₀: ``bound_search``
 seeds s₀ on a nested coarse grid, runs one certificate pass at s₀
 (``evaluate_grid``), and computes thresholds only where that pass falls below
-the margin. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
+the margin. That pass needs only which points fall below it: ``_clears``
+factors each block of X − (LAZY_MARGIN + SCREEN_GAP)·𝟙, X the certificate,
+with an unpivoted LDLᵀ. One that runs to completion is backward stable, exact
+for a matrix within about 1e-13 of the shifted X (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., Thm 10.3), so positive pivots
+prove λ_min(X) above the margin by more than eigvalsh's error. Such a point
+reads +∞; only the rest (2 of mermin π/24's 336) are eigensolved, to the bits
+of a full pass. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
 node angle table and node-index rows into it, as a map over tasks: each task
 carries the nodes' weights (``node_weights``) and a chunk of rows, and every
 chunk returns its values in row order. A map of more than SEARCH_CHUNK_ROWS
@@ -78,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellFunctional, get_functional
-from .quantum import I2, X, Z, ghz_state, is_dichotomic, kron_all
+from .quantum import I2, X, Z, ghz_state, ghz_vector, is_dichotomic, kron_all
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -95,6 +102,9 @@ KERNEL_TOL = 1e-9
 #: has its threshold below that slope: far above the ~1e-15 rounding of a
 #: minimum eigenvalue, so no point at or above the seed slope goes unflagged
 LAZY_MARGIN = 1e-9
+#: the LDLᵀ screen factors X − (floor + SCREEN_GAP)·𝟙: about 1,000 times the
+#: ~1e-13 rounding of LDLᵀ and eigvalsh for d ≤ 16 and ‖X‖₂ ≲ 20
+SCREEN_GAP = 1e-10
 #: a map of more than SEARCH_CHUNK_ROWS points, the bound on a threshold
 #: chunk's memory, splits into at least SEARCH_CHUNKS chunks, so that a few
 #: thousand points still spread over the workers; chunks never depend on the
@@ -298,20 +308,45 @@ def certificate_operators(
     return _contract(k_vectors, k_table), _contract(b_vectors, b_table)
 
 
+def _clears(blocks: np.ndarray, floor: float) -> np.ndarray:
+    """Whether an unpivoted LDLᵀ of each Hermitian block of a (..., d, d) stack,
+    less (floor + SCREEN_GAP)·𝟙, has every pivot positive: one step per column
+    on a (d, d, ...) copy, for the whole stack."""
+    a = np.moveaxis(blocks, (-2, -1), (0, 1)).copy()
+    clear = np.ones(blocks.shape[:-2], dtype=bool)
+    for k in range(len(a)):
+        pivot = a[k, k].real - (floor + SCREEN_GAP)
+        clear &= pivot > 0
+        column = a[k + 1:, k]
+        a[k + 1:, k + 1:] -= column[:, None] * (column.conj() / np.where(clear, pivot, 1.0))
+    return clear
+
+
 def certificate_eigenvalues(
     s: float,
     k_vectors: np.ndarray,
     b_vectors: np.ndarray,
     functional: BellFunctional,
+    floor: float = -math.inf,
 ) -> np.ndarray:
     """Minimum eigenvalue of K − s·B − μ·𝟙 at each point of a batch of
-    (n, parties, 3) weight pairs; μ is slaved to s via μ = 1 − s·β_Q."""
-    k_op, bell_op = certificate_operators(k_vectors, b_vectors, functional)
-    mu = 1.0 - s * functional.beta_q
-    cert = k_op - s * bell_op
+    (n, parties, 3) weight pairs; μ is slaved to s via μ = 1 − s·β_Q.
+
+    With a finite ``floor``, a point whose blocks all pass :func:`_clears` reads
+    +∞: a completed LDLᵀ is backward stable, so their λ_min, as eigvalsh would
+    read it, is above the floor (module docstring, SCREEN_GAP). The others
+    are eigensolved as without a floor, to the same bits."""
+    k_op, cert = certificate_operators(k_vectors, b_vectors, functional)
+    cert *= -s
+    cert += k_op  # K − s·B, in place: its bits, with one (n·blocks, d, d) array fewer
+    cert = cert.reshape(len(k_vectors), -1, *k_op.shape[1:])  # (n, blocks, d, d)
     idx = np.arange(cert.shape[-1])
-    cert[:, idx, idx] -= mu
-    return np.linalg.eigvalsh(cert)[:, 0].reshape(len(k_vectors), -1).min(axis=1)
+    cert[..., idx, idx] -= 1.0 - s * functional.beta_q  # μ
+    open_ = slice(None) if floor == -math.inf else ~_clears(cert, floor).all(axis=1)
+    minima = np.full(len(cert), math.inf)
+    if len(cert[open_]):  # no eigvalsh on an empty batch
+        minima[open_] = np.linalg.eigvalsh(cert[open_])[..., 0].min(axis=1)
+    return minima
 
 
 def slope_thresholds(
@@ -391,13 +426,18 @@ def _dense(table: np.ndarray) -> np.ndarray:
     return dense.reshape(rows, blocks * d, blocks * d)
 
 
-def _local_clifford(perm: np.ndarray, flips: np.ndarray, strings: np.ndarray) -> np.ndarray:
-    """W in U's basis for each of a stack of Pauli strings in the parties' frames:
-    the string, then a Hadamard on each party where flips[p], then party p's
-    qubit moved to perm[p]. W·E_j·W† is E_image(j) times the string's sign."""
+def _local_clifford(perm: np.ndarray, flips: np.ndarray, strings: np.ndarray,
+                    ghz: np.ndarray) -> np.ndarray:
+    """W in U's basis for each of a stack of Pauli strings in the parties' frames
+    that keeps ``ghz``, the frame GHZ vector, up to a phase, as W must for K's
+    entry 0: the string, then a Hadamard on each party where flips[p], then
+    party p's qubit moved to perm[p]. W·E_j·W† is E_image(j) times the
+    string's sign."""
     local = kron_all([_HADAMARD if f else np.eye(2) for f in flips])
     rows = _binary(np.arange(len(local)), len(perm)) @ (1 << (len(perm) - 1 - perm))
-    return _parity_basis().T @ local[np.argsort(rows)] @ strings @ _parity_basis()
+    move = local[np.argsort(rows)]
+    keeps = np.abs(np.abs(strings @ ghz @ (move.T @ ghz.conj())) - 1.0) <= PROOF_TOL
+    return _parity_basis().T @ move @ strings[keeps] @ _parity_basis()
 
 
 def _closure(generators: list) -> list:
@@ -422,12 +462,15 @@ def symmetry_group(functional: BellFunctional) -> SymmetryGroup:
     W's conjugates of K and B at the point, with the same threshold and
     spectrum. W maps E_j to ±E_image(j), and B's entry j is b_j·E_j, so only
     the Pauli strings whose signs carry b onto b[image] are tried, none when
-    |b[image]| ≠ |b|. Of the 2ⁿ·n! candidates, only those that the elements
-    proven so far do not generate are proven. Parties that some element's
-    transposition swaps form a class; elements whose permutation leaves a
-    class are dropped, so that sorting within classes picks a point's orbit.
+    |b[image]| ≠ |b|, and W is built only for those that keep the frame GHZ
+    vector, as K's entry 0 requires. Of the 2ⁿ·n! candidates, only those that
+    the elements proven so far do not generate are proven. Parties that some
+    element's transposition swaps form a class; elements whose permutation
+    leaves a class are dropped, so that sorting within classes picks a point's
+    orbit.
     """
-    _, k_table, b_table = _certificate_tables(functional)
+    u, k_table, b_table = _certificate_tables(functional)
+    ghz = _parity_basis() @ u.conj().T @ ghz_vector()  # in the parties' frames
     parties = functional.parties
     # permutations first, then by the number of reflected parties: the first
     # candidates proven generate most of the rest, which need no proof
@@ -447,12 +490,9 @@ def symmetry_group(functional: BellFunctional) -> SymmetryGroup:
         if element in group:
             continue
         found = np.abs(signs * b - b[image]).max(axis=1) <= PROOF_TOL
-        ws = _local_clifford(perm, flip, strings[found])
-        # K's entry 0, the GHZ projector, is its own image: a cheap first test
-        fixed = np.abs(ws @ tables[0] @ ws.transpose(0, 2, 1) - tables[0]).max(axis=(1, 2))
+        ws = _local_clifford(perm, flip, strings[found], ghz)
         rows = np.concatenate([image, image + len(k_table)])
-        if any(np.abs(w @ tables @ w.T - tables[rows]).max() <= PROOF_TOL
-               for w in ws[fixed <= PROOF_TOL]):
+        if any(np.abs(w @ tables @ w.T - tables[rows]).max() <= PROOF_TOL for w in ws):
             generators.append(element)
             group = _closure(generators)
     classes = [{p} for p in range(parties)]
@@ -578,10 +618,11 @@ class Grid:
         """``fn(*head, k_vectors, b_vectors, functional)`` at node-index ``rows``,
         in row order, over (fn, *head, k_nodes, b_nodes, chunk) tasks (:func:`_chunk`).
 
-        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in this process: forking
-        two workers takes about 30 ms, the time of about 1,000 points. More are
-        at least SEARCH_CHUNKS chunks, on the pool when there is one. A point's
-        value is the same in every chunk of two or more rows.
+        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in this process: the
+        pool adds about 15 ms to a search (mermin π/60 took 26 ms on one worker
+        and 33 ms on two), the time of 2,000 points unscreened or 6,000
+        screened. More are at least SEARCH_CHUNKS chunks, on the pool when there
+        is one. A point's value is the same in every chunk of two or more rows.
         """
         size = len(rows)
         step = size if size <= SEARCH_CHUNK_ROWS else min(
@@ -612,9 +653,10 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     # a pass 1.65-1.95x faster on 2 CPUs, but they hold both chunks in one
     # process. bound's peak RSS rose from 47.4 to 74.0 MB (zhao pi/12) and from
     # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
-    # With one certificate pass per search and BLAS pinned to one thread, two
-    # workers ran bound 1.2-1.8x (mermin), 1.3-2.1x (baccari) and 1.7-2.2x (zhao)
-    # as fast as one at pi/120, and 0.8-1.4x at pi/60 (4 runs each, 2 CPUs).
+    # With the screened certificate pass and BLAS pinned to one thread, two
+    # workers ran bound 1.1-1.5x (mermin), 1.3-1.7x (baccari) and 1.4-2.3x (zhao)
+    # as fast as one at pi/120, and 0.8-1.2x, 0.8-1.3x and 1.0-1.5x at pi/60
+    # (fresh processes, 8 runs each, 2 CPUs).
     # Unpinned, each worker's BLAS threads contend for the same CPUs.
     with ExitStack() as stack:
         pool = functools.cache(lambda: stack.enter_context(ProcessPoolExecutor(
@@ -622,14 +664,16 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
         yield Grid(angles, indices, pool if workers > 1 else None)
 
 
-def evaluate_grid(s: float, grid: Grid) -> np.ndarray:
+def evaluate_grid(s: float, grid: Grid, floor: float = -math.inf) -> np.ndarray:
     """Certificate minimum eigenvalue at every point of a grid (:func:`open_grid`,
-    or ``--refine``'s sub-grid), in grid order.
+    or ``--refine``'s sub-grid), in grid order; with a finite ``floor``, +∞
+    where :func:`certificate_eigenvalues`' LDLᵀ screen, backward stable with
+    SCREEN_GAP to spare, proves it above that.
 
     Chunks are joined in grid order, so the values, and every reduction the
     caller takes over them, are identical for any worker count.
     """
-    return grid.values(grid.indices, certificate_eigenvalues, s)
+    return grid.values(grid.indices, functools.partial(certificate_eigenvalues, floor=floor), s)
 
 
 @dataclass(frozen=True)
@@ -676,9 +720,11 @@ def bound_search(
     all multiples of j: the nested π/12 grid (j = intervals/6) when 6 divides
     the interval count and it exceeds 6, else the corners and π/4 (j =
     intervals/2). An :func:`evaluate_grid` pass at s₀ flags the points with
-    minimum eigenvalue below LAZY_MARGIN; every other point's threshold is
-    below s₀, and its minimum at s ≥ s₀ at least the margin (module
-    docstring). So s is the largest of s₀ and the flagged thresholds, and the
+    minimum eigenvalue below LAZY_MARGIN, its ``floor``: the points its LDLᵀ
+    screen clears read +∞ with no eigensolve, which the factorization's
+    backward error and SCREEN_GAP make sound (module docstring). Every other
+    point's threshold is below s₀, and its minimum at s ≥ s₀ at least the
+    margin. So s is the largest of s₀ and the flagged thresholds, and the
     minimum, which must stay above −``slack``, and the worst point (the first
     in grid order among ties) come from the flagged points at s; μ is
     1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest grid
@@ -697,7 +743,7 @@ def bound_search(
         j = intervals // 6 if intervals % 6 == 0 and intervals > 6 else intervals // 2
         nested = grid.indices[(grid.indices % j == 0).all(axis=1)]
         s = _feasible(float(grid.values(nested, slope_thresholds).max()))
-        flagged = np.flatnonzero(evaluate_grid(s, grid) < LAZY_MARGIN)
+        flagged = np.flatnonzero(evaluate_grid(s, grid, floor=LAZY_MARGIN) < LAZY_MARGIN)
         if not len(flagged):
             raise BoundSearchError(f"no grid point is tight at the seed slope {s!r}")
         rows = grid.indices[flagged]

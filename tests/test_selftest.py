@@ -22,10 +22,12 @@ from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigen
 from ghzcert.selftest import (
     LAZY_MARGIN,
     PROOF_TOL,
+    SCREEN_GAP,
     SEARCH_CHUNK_ROWS,
     BoundSearchError,
     SelfTestBound,
     _certificate_tables,
+    _clears,
     _dense,
     _table_image,
     angle_nodes,
@@ -33,6 +35,7 @@ from ghzcert.selftest import (
     channel_weight,
     certificate_eigenvalues,
     certificate_operators,
+    evaluate_grid,
     extractability_bound,
     node_weights,
     open_grid,
@@ -385,9 +388,23 @@ def _proves(f, perm, k_flips, b_flips):
     return w is not None and np.abs(w @ dense @ w.conj().T - dense[image]).max() <= PROOF_TOL
 
 
+def _rotated_mermin():
+    """mermin with its two four-body terms negated and each party's settings
+    conjugated by a random unitary: B keeps a sign structure that many Pauli
+    strings match, while the GHZ state leaves the parties' frames."""
+    mermin = mermin_functional()
+    rng = np.random.default_rng(33)
+    unitaries = np.linalg.qr(rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))[0]
+    terms = tuple(dataclasses.replace(t, coefficient=-t.coefficient) if i in (0, 4) else t
+                  for i, t in enumerate(mermin.terms))
+    settings = tuple((v @ X @ v.conj().T, v @ Y @ v.conj().T) for v in unitaries)
+    return dataclasses.replace(mermin, name="rotated", terms=terms, ideal_settings=settings)
+
+
 ORACLE_FUNCTIONALS = {
     "mermin": mermin_functional, "baccari": baccari_functional, "zhao": zhao_functional,
     "changed mermin": _changed_mermin, "odd body": _odd_body_functional,
+    "rotated mermin": _rotated_mermin,
 }
 
 
@@ -408,6 +425,24 @@ def test_symmetry_group_agrees_with_the_conjugator_solver(name):
         for flips in itertools.product((False, True), repeat=4):
             flip = np.array(flips)
             assert _proves(f, np.array(perm), flip, flip) == ((perm, flips) in kept)
+
+
+@pytest.mark.parametrize("name", ["mermin", "rotated mermin"])
+def test_every_unitary_built_keeps_the_ghz_entry(name, monkeypatch):
+    """A W is built only for a Pauli string that keeps the frame GHZ vector:
+    every W built maps K's GHZ entry onto itself. On the rotated mermin (``_rotated_mermin``)
+    thousands of strings match B's signs and the GHZ entry rejects them all,
+    so none is built, and the group is the identity alone."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    built, exact = [], selftest._local_clifford
+    monkeypatch.setattr(selftest, "_local_clifford",
+                        lambda *args: built.append(exact(*args)) or built[-1])
+    f = ORACLE_FUNCTIONALS[name]()
+    ghz = _dense(_certificate_tables(f)[1])[0]
+    order = symmetry_group.__wrapped__(f).order
+    ws = np.concatenate(built)
+    assert np.abs(ws @ ghz @ ws.transpose(0, 2, 1) - ghz).max(initial=0.0) <= PROOF_TOL
+    assert (order, len(ws) > 0) == ((1, False) if name == "rotated mermin" else (192, True))
 
 
 @pytest.mark.parametrize("operator, flips", [
@@ -854,8 +889,8 @@ def test_flagged_thresholds_raise_the_seed_slope(monkeypatch):
     π/12's slope and below π/24's: a flagged point's threshold sets s."""
     selftest = importlib.import_module("ghzcert.selftest")
     passes, exact = [], selftest.evaluate_grid
-    monkeypatch.setattr(selftest, "evaluate_grid",
-                        lambda s, grid: passes.append((s, exact(s, grid))) or passes[-1][1])
+    monkeypatch.setattr(selftest, "evaluate_grid", lambda s, grid, **floor: passes.append(
+        (s, exact(s, grid))) or passes[-1][1])
     f = baccari_functional()
     result = bound_search(f, grid_step=math.pi / 24)
     [(seed, values)] = passes
@@ -882,7 +917,7 @@ def test_threshold_above_one_raises_at_the_seed_or_a_flagged_point(monkeypatch):
 def test_worst_point_is_the_first_among_ties(monkeypatch):
     """Every minimum 0: all points are flagged and tie, and the first grid row wins."""
     monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "certificate_eigenvalues",
-                        lambda s, angles, *rest: np.zeros(len(angles)))
+                        lambda s, angles, *rest, **floor: np.zeros(len(angles)))
     result = bound_search(mermin_functional(), grid_step=math.pi / 8)
     with open_grid(mermin_functional(), math.pi / 8, 1) as grid:
         first = grid.point(grid.indices[0])
@@ -893,6 +928,84 @@ def test_search_with_no_flagged_point_raises(monkeypatch):
     """The seed's own largest threshold is tight at s₀, so a pass that flags
     nothing is a fault, not a result."""
     monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "certificate_eigenvalues",
-                        lambda s, angles, *rest: np.ones(len(angles)))
+                        lambda s, angles, *rest, **floor: np.ones(len(angles)))
     with pytest.raises(BoundSearchError, match="no grid point is tight"):
         bound_search(mermin_functional(), grid_step=math.pi / 8)
+
+
+@pytest.mark.parametrize("name, pi_over", [
+    *itertools.product(("mermin", "baccari", "zhao"), (12, 24, 60)), ("odd body", 12),
+])
+def test_screen_keeps_the_bits_of_every_point_it_does_not_clear(name, pi_over, monkeypatch):
+    """At the seed slope s₀ of the lazy pass and at s₀ ± 1e-3, a screened pass
+    reads the unscreened bits wherever it is finite, and +∞ only where the
+    unscreened minimum is at least LAZY_MARGIN."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    passes, exact = [], selftest.evaluate_grid
+    monkeypatch.setattr(selftest, "evaluate_grid", lambda s, grid, floor=-math.inf: (
+        passes.append((s, grid, floor)) or exact(s, grid, floor)))
+    bound_search(ORACLE_FUNCTIONALS[name](), grid_step=math.pi / pi_over)
+    [(seed, grid, floor)] = passes
+    assert floor == LAZY_MARGIN
+    for s in (seed - 1e-3, seed, seed + 1e-3):
+        plain, screened = evaluate_grid(s, grid), evaluate_grid(s, grid, floor=LAZY_MARGIN)
+        kept = np.isfinite(screened)
+        assert not kept.all() and (kept.any() or s > seed)
+        assert np.array_equal(screened[kept], plain[kept])
+        assert (plain[~kept] >= LAZY_MARGIN).all()
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("floor", [LAZY_MARGIN, 0.0, -0.5])
+def test_screen_clears_only_blocks_past_the_gap(d, dtype, floor):
+    """Q·diag(λ)·Q† with the rest of λ up to 20: a block is never cleared with
+    λ_min at or within half the gap of the floor, and is cleared at ten gaps."""
+    rng = np.random.default_rng(d)
+
+    def blocks(offset, n=200):
+        z = rng.normal(size=(2, n, d, d))
+        q = np.linalg.qr(z[0] + 1j * z[1] if dtype is complex else z[0])[0]
+        lam = rng.uniform(floor + offset, 20.0, size=(n, d))
+        lam[:, 0] = floor + offset
+        return (q * lam[:, None, :]) @ q.conj().transpose(0, 2, 1)
+
+    for offset in (-1e-12, 0.0, 1e-12, SCREEN_GAP / 2):
+        assert not _clears(blocks(offset), floor).any()
+    assert _clears(blocks(10 * SCREEN_GAP), floor).all()
+
+
+def _eigvalsh_batches(monkeypatch):
+    """Record the number of matrices in each ``np.linalg.eigvalsh`` call."""
+    sizes, exact = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: sizes.append(math.prod(a.shape[:-2])) or exact(a))
+    return sizes
+
+
+def test_lazy_pass_eigensolves_only_the_flagged_points(monkeypatch):
+    """mermin π/24's lazy pass flags 2 of its 336 points, and hands eigvalsh
+    the blocks of those 2 points at most: 2 blocks each."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    sizes, exact, during = _eigvalsh_batches(monkeypatch), selftest.evaluate_grid, []
+
+    def lazy(s, grid, floor=-math.inf):
+        before = len(sizes)
+        values = exact(s, grid, floor)
+        during.append((sizes[before:], int((values < LAZY_MARGIN).sum())))
+        return values
+
+    monkeypatch.setattr(selftest, "evaluate_grid", lazy)
+    assert bound_search(mermin_functional(), grid_step=math.pi / 24).points == 336
+    [(batches, flagged)] = during
+    assert flagged == 2 and sum(batches) <= 2 * flagged
+
+
+def test_chunk_that_clears_every_point_calls_no_eigensolver(monkeypatch):
+    """Every point at s = 7/32 is above −1: each of the eight chunks of mermin
+    π/60's 6,936 points clears, and eigvalsh is never called."""
+    with open_grid(mermin_functional(), math.pi / 60, 1) as grid:
+        assert len(grid.indices) > SEARCH_CHUNK_ROWS
+        sizes = _eigvalsh_batches(monkeypatch)
+        values = evaluate_grid(7 / 32, grid, floor=-1.0)
+    assert sizes == [] and np.isposinf(values).all()
