@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--refine", action="store_true",
                          help="refine locally around the worst grid points")
     p_bound.add_argument("--threads", type=int, default=1,
-                         help="grid workers; they help only with BLAS pinned to one "
-                              "thread, e.g. OPENBLAS_NUM_THREADS=1")
+                         help="grid worker threads; they help only with BLAS pinned "
+                              "to one thread, e.g. OPENBLAS_NUM_THREADS=1")
     add_common(p_bound, seed=False)
 
     p_cert = sub.add_parser("certify", help="maximum certified extractability")

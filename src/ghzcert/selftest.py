@@ -22,14 +22,12 @@ Stability of Numerical Algorithms*, 2nd ed., Thm 10.3), so positive pivots
 prove λ_min(X) above the margin by more than eigvalsh's error. Such a point
 reads +∞; only the rest (2 of mermin π/24's 336) are eigensolved, to the bits
 of a full pass. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
-node angle table and node-index rows into it, as a map over tasks: each task
-carries the nodes' weights (``node_weights``) and a chunk of rows, and every
-chunk returns its values in row order. A map of more than SEARCH_CHUNK_ROWS
-points runs on a pool, forked at the first such map, whose workers hold only
-the functional; a smaller map runs in the parent, which would otherwise spend
-more time forking than evaluating. The parent takes every reduction (the
-largest threshold, the first minimum, the seeds to refine), with ties in grid
-order, so results do not depend on the worker count.
+node angle table and node-index rows into it, in chunks of rows that gather
+their weights from the nodes' (``node_weights``). A map of more than
+SEARCH_CHUNK_ROWS points runs on worker threads, as numpy's batched
+eigensolvers, products and ufunc loops release the GIL. The caller takes
+every reduction (the largest threshold, the first minimum, the seeds to
+refine), with ties in grid order, so results do not depend on the worker count.
 
 The grid holds one point per orbit of the functional's symmetry group
 (``symmetry_group``, ``_orbit_rows``). An element permutes the parties and
@@ -78,9 +76,9 @@ import itertools
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,14 +424,22 @@ def _dense(table: np.ndarray) -> np.ndarray:
     return dense.reshape(rows, blocks * d, blocks * d)
 
 
-def _local_clifford(perm: np.ndarray, flips: np.ndarray, strings: np.ndarray,
+@functools.cache  # 2ⁿ layers, where a group tries up to 2ⁿ·n! candidates
+def _hadamard_layer(flips: tuple[bool, ...]) -> np.ndarray:
+    """⊗ₚ (H where flips[p], else 𝟙), read-only: every caller shares it."""
+    layer = kron_all([_HADAMARD if f else np.eye(2) for f in flips])
+    layer.setflags(write=False)
+    return layer
+
+
+def _local_clifford(perm: np.ndarray, flips: tuple[bool, ...], strings: np.ndarray,
                     ghz: np.ndarray) -> np.ndarray:
     """W in U's basis for each of a stack of Pauli strings in the parties' frames
     that keeps ``ghz``, the frame GHZ vector, up to a phase, as W must for K's
     entry 0: the string, then a Hadamard on each party where flips[p], then
     party p's qubit moved to perm[p]. W·E_j·W† is E_image(j) times the
     string's sign."""
-    local = kron_all([_HADAMARD if f else np.eye(2) for f in flips])
+    local = _hadamard_layer(flips)
     rows = _binary(np.arange(len(local)), len(perm)) @ (1 << (len(perm) - 1 - perm))
     move = local[np.argsort(rows)]
     keeps = np.abs(np.abs(strings @ ghz @ (move.T @ ghz.conj())) - 1.0) <= PROOF_TOL
@@ -490,7 +496,7 @@ def symmetry_group(functional: BellFunctional) -> SymmetryGroup:
         if element in group:
             continue
         found = np.abs(signs * b - b[image]).max(axis=1) <= PROOF_TOL
-        ws = _local_clifford(perm, flip, strings[found], ghz)
+        ws = _local_clifford(perm, element[1], strings[found], ghz)
         rows = np.concatenate([image, image + len(k_table)])
         if any(np.abs(w @ tables @ w.T - tables[rows]).max() <= PROOF_TOL for w in ws):
             generators.append(element)
@@ -580,35 +586,19 @@ def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-_functional: BellFunctional | None = None
-
-
-def _init_worker(functional: BellFunctional) -> None:
-    """Install the functional once per process, so its certificate tables stay cached."""
-    global _functional
-    _functional = functional
-
-
-def _chunk(task) -> np.ndarray:
-    """``fn`` (``slope_thresholds`` or ``certificate_eigenvalues``) at the rows of
-    one (fn, *head, k_nodes, b_nodes, rows) task, in row order."""
-    fn, *head, k_nodes, b_nodes, rows = task
-    parties = np.arange(rows.shape[1])
-    return fn(*head, k_nodes[parties, rows], b_nodes[parties, rows], _functional)
-
-
 @dataclass(frozen=True)
 class Grid:
     """A functional's Jordan-angle grid, with the map that evaluates it.
 
     :func:`open_grid`'s ``indices`` hold one node-index row per orbit of the
-    symmetry group (:func:`_orbit_rows`). A task carries the node weights of
-    ``angles``, so the workers hold only the functional.
+    symmetry group (:func:`_orbit_rows`). The chunks of a map run on ``pool``,
+    threads that share the functional's cached tables.
     """
 
     angles: np.ndarray  # (parties, k) node table: row r's party p is at angles[p, r[p]]
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
-    pool: Callable[[], ProcessPoolExecutor] | None  # the grid's pool, forked at the first call
+    functional: BellFunctional
+    pool: ThreadPoolExecutor | None  # None with one worker
 
     def point(self, row: np.ndarray) -> tuple[float, ...]:
         """The Jordan angles of node-index ``row``, one per party."""
@@ -616,28 +606,30 @@ class Grid:
 
     def values(self, rows: np.ndarray, fn: Callable, *head) -> np.ndarray:
         """``fn(*head, k_vectors, b_vectors, functional)`` at node-index ``rows``,
-        in row order, over (fn, *head, k_nodes, b_nodes, chunk) tasks (:func:`_chunk`).
+        in row order, each chunk's weights gathered from the node weights.
 
-        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in this process: the
-        pool adds about 15 ms to a search (mermin π/60 took 26 ms on one worker
-        and 33 ms on two), the time of 2,000 points unscreened or 6,000
-        screened. More are at least SEARCH_CHUNKS chunks, on the pool when there
-        is one. A point's value is the same in every chunk of two or more rows.
+        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in the calling thread.
+        More are at least SEARCH_CHUNKS chunks, on the pool when there is one.
+        A point's value is the same in every chunk of two or more rows.
         """
         size = len(rows)
         step = size if size <= SEARCH_CHUNK_ROWS else min(
             SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
-        nodes = node_weights(self.angles)
-        tasks = [(fn, *head, *nodes, rows[i:i + step]) for i in range(0, size, step)]
-        chunks = map if self.pool is None or len(tasks) == 1 else self.pool().map
-        return np.concatenate(list(chunks(_chunk, tasks)))
+        k_nodes, b_nodes = node_weights(self.angles)
+        parties = np.arange(rows.shape[1])
+
+        def chunk(part: np.ndarray) -> np.ndarray:
+            return fn(*head, k_nodes[parties, part], b_nodes[parties, part], self.functional)
+
+        parts = [rows[i:i + step] for i in range(0, size, step)]
+        chunks = map if self.pool is None or len(parts) == 1 else self.pool.map
+        return np.concatenate(list(chunks(chunk, parts)))
 
 
 @contextmanager
 def open_grid(functional: BellFunctional, grid_step: float, threads: int):
-    """The grid of ``functional`` at ``grid_step``, with ``threads`` workers for its
-    tasks, capped at the CPUs this process may run on; each worker holds only
-    the functional.
+    """The grid of ``functional`` at ``grid_step``, with ``threads`` worker threads
+    for its maps, capped at the CPUs this process may run on.
 
     The grid holds one point per orbit of :func:`symmetry_group` on the
     product of :func:`angle_nodes`, one angle per node. Every point of the
@@ -647,31 +639,18 @@ def open_grid(functional: BellFunctional, grid_step: float, threads: int):
     angles = np.tile(angle_nodes(grid_step), (functional.parties, 1))
     indices = _orbit_rows(angles.shape[1], symmetry_group(functional))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, cpus or 1)  # the pool forks all its workers at its first map
-    _init_worker(functional)  # for the maps that run in this process
-    # Processes, not threads: batched eigh releases the GIL, and two threads ran
-    # a pass 1.65-1.95x faster on 2 CPUs, but they hold both chunks in one
-    # process. bound's peak RSS rose from 47.4 to 74.0 MB (zhao pi/12) and from
-    # 39.8 to 57.2 MB (mermin pi/24); 32 chunks restored it at 1.4-1.9x the time.
-    # With the screened certificate pass and BLAS pinned to one thread, two
-    # workers ran bound 1.1-1.5x (mermin), 1.3-1.7x (baccari) and 1.4-2.3x (zhao)
-    # as fast as one at pi/120, and 0.8-1.2x, 0.8-1.3x and 1.0-1.5x at pi/60
-    # (fresh processes, 8 runs each, 2 CPUs).
-    # Unpinned, each worker's BLAS threads contend for the same CPUs.
-    with ExitStack() as stack:
-        pool = functools.cache(lambda: stack.enter_context(ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(functional,))))
-        yield Grid(angles, indices, pool if workers > 1 else None)
+    workers = min(threads, cpus or 1)
+    # Threads share the tables symmetry_group built above; two ran zhao pi/120 in
+    # 1.92 s against 3.34 s on one (BLAS pinned, fresh processes, 2 CPUs).
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        yield Grid(angles, indices, functional, pool)
 
 
 def evaluate_grid(s: float, grid: Grid, floor: float = -math.inf) -> np.ndarray:
     """Certificate minimum eigenvalue at every point of a grid (:func:`open_grid`,
     or ``--refine``'s sub-grid), in grid order; with a finite ``floor``, +∞
     where :func:`certificate_eigenvalues`' LDLᵀ screen, backward stable with
-    SCREEN_GAP to spare, proves it above that.
-
-    Chunks are joined in grid order, so the values, and every reduction the
-    caller takes over them, are identical for any worker count.
+    SCREEN_GAP to spare, proves it above that; the same bits for any worker count.
     """
     return grid.values(grid.indices, functools.partial(certificate_eigenvalues, floor=floor), s)
 
@@ -694,7 +673,7 @@ def _refine_grid(grid: Grid, seeds: np.ndarray, grid_step: float) -> Grid:
     angles = np.clip(grid.angles[np.arange(parties), seeds][..., None] + offsets, 0.0, HALF_PI)
     local = np.indices((len(offsets),) * parties).reshape(parties, -1).T
     rows = (len(offsets) * np.arange(seed_count)[:, None, None] + local).reshape(-1, parties)
-    return Grid(angles.transpose(1, 0, 2).reshape(parties, -1), rows, grid.pool)
+    return replace(grid, angles=angles.transpose(1, 0, 2).reshape(parties, -1), indices=rows)
 
 
 def _feasible(s: float) -> float:
@@ -729,10 +708,11 @@ def bound_search(
     in grid order among ties) come from the flagged points at s; μ is
     1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest grid
     points at s may lower the reported minimum and move the worst point.
-    Every map runs on the grid's workers. Raises :class:`BoundSearchError`
-    when s₀ or s exceeds 1, which signals a wrong channel family or
-    functional, when s fails the check or nothing is flagged, and ValueError
-    for a ``slack`` that is negative or not finite or fewer than one thread.
+    Maps of more than one chunk run on the grid's worker threads. Raises
+    :class:`BoundSearchError` when s₀ or s exceeds 1, which signals a wrong
+    channel family or functional, when s fails the check or nothing is
+    flagged, and ValueError for a ``slack`` that is negative or not finite or
+    fewer than one thread.
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -586,24 +587,50 @@ def test_snap_grid_step_accepts_rounded_values():
         snap_grid_step(math.pi / 6 + 1e-9)  # odd interval count, pi/4 off grid
 
 
-def test_grid_evaluation_thread_count_invariant():
-    """mermin's 6,936 π/60 points: more than one chunk holds, so the pool runs."""
+def test_grid_evaluation_thread_count_invariant(monkeypatch):
+    """Maps of more than one chunk, so the pool runs, are bit-equal for 1, 2, 3
+    and 8 workers, with CPUs for all of them claimed and thread switches
+    forced often: mermin's 6,936 π/60 certificate minima, the thresholds at
+    the same points, and the odd-body functional's (``_odd_body_functional``,
+    one complex 16×16 block) minima on its π/24 grid."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for f, step, fn, head in (
+            (mermin_functional(), math.pi / 60, certificate_eigenvalues, (0.2,)),
+            (mermin_functional(), math.pi / 60, slope_thresholds, ()),
+            (_odd_body_functional(), math.pi / 24, certificate_eigenvalues, (0.3,)),
+        ):
+            runs = []
+            for threads in (1, 2, 3, 8):
+                with open_grid(f, step, threads) as grid:
+                    assert len(grid.indices) > SEARCH_CHUNK_ROWS
+                    runs.append(grid.values(grid.indices, fn, *head))
+            assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_threads_share_the_cached_tables():
+    """A warmed 2-worker mermin π/60 search, whose passes run on the pool,
+    builds no certificate tables: every thread reads the caller's."""
     f = mermin_functional()
-    ref = _evaluate(0.2, f, math.pi / 60, 1)
-    for threads in (2, 3):
-        assert np.array_equal(_evaluate(0.2, f, math.pi / 60, threads), ref)
+    ref = bound_search(f, grid_step=math.pi / 60, threads=1)
+    misses = _certificate_tables.cache_info().misses
+    assert bound_search(f, grid_step=math.pi / 60, threads=2) == ref
+    assert _certificate_tables.cache_info().misses == misses
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each task in this process, and
-    records each pool's worker count and each map's task count."""
+    """Stands in for ThreadPoolExecutor: runs each chunk in the calling thread,
+    and records each pool's worker count and each map's chunk count."""
 
     workers: list = []
     maps: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.workers.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -611,14 +638,14 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        self.maps.append(len(tasks))
-        return map(fn, tasks)
+    def map(self, fn, chunks):
+        self.maps.append(len(chunks))
+        return map(fn, chunks)
 
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "ProcessPoolExecutor",
+    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "ThreadPoolExecutor",
                         _InlinePool)
     monkeypatch.setattr(_InlinePool, "workers", [])
     monkeypatch.setattr(_InlinePool, "maps", [])
@@ -635,25 +662,22 @@ def test_grid_pool_capped_at_usable_cpus(inline_pool, monkeypatch):
     assert inline_pool.workers == [2, 3, 3]
 
 
-def test_small_grid_forks_no_worker(monkeypatch):
-    """Grids whose points fit one chunk (mermin π/24, zhao π/12) run in this
-    process: forking a worker fails the test."""
-    def refuse(**kwargs):
-        raise AssertionError("a pool was forked")
-
-    selftest = importlib.import_module("ghzcert.selftest")
+def test_small_grid_maps_on_no_pool(inline_pool, monkeypatch):
+    """Grids whose points fit one chunk (mermin π/24, zhao π/12) run in the
+    calling thread: the pool is made but no map runs on it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for operator, pi_over in (("mermin", 24), ("zhao", 12)):
         f = get_functional(operator)
         ref = bound_search(f, grid_step=math.pi / pi_over, threads=1)
         assert ref.points <= SEARCH_CHUNK_ROWS
-        monkeypatch.setattr(selftest, "ProcessPoolExecutor", refuse)
         assert bound_search(f, grid_step=math.pi / pi_over, threads=2) == ref
-        monkeypatch.undo()
+    assert (inline_pool.workers, inline_pool.maps) == ([2, 2], [])
 
 
 def test_refine_maps_over_the_pool(inline_pool):
-    """mermin π/8's 20 grid points are searched in this process, and --refine's
-    sub-grid of 20 · 625 = 12,500 points in eight chunks on the pool, forked once."""
+    """mermin π/8's 20 grid points are searched in the calling thread, and
+    --refine's sub-grid of 20 · 625 = 12,500 points in eight chunks on the
+    pool, made once."""
     f = mermin_functional()
     result = bound_search(f, grid_step=math.pi / 8, threads=2, refine=True)
     assert result.points == 20
