@@ -3,7 +3,7 @@
 Subcommands: ``bound`` (self-testing bound search), ``certify`` (finite-sample
 inversion), ``simulate`` (protocol Monte Carlo), ``sweep`` (comparison
 curves), ``replay`` (event-file analysis). Same flags and seed give
-byte-identical output; worker count never changes results.
+byte-identical output.
 
 Exit status: 0 success, 1 infeasible certification or failed bound search
 (a report is still emitted), 2 usage errors (a one-line JSON ``{"error": ...}``
@@ -101,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--refine", action="store_true",
                          help="refine locally around the worst grid points")
     p_bound.add_argument("--threads", type=int, default=1,
-                         help="grid worker threads; they help only with BLAS pinned "
-                              "to one thread, e.g. OPENBLAS_NUM_THREADS=1")
+                         help="ignored: the search runs in one thread (at least 1)")
     add_common(p_bound, seed=False)
 
     p_cert = sub.add_parser("certify", help="maximum certified extractability")
@@ -156,15 +155,11 @@ def _cmd_bound(args) -> int:
         functional = functional_from_json(Path(args.operator_file).read_text(encoding="utf-8"))
     else:
         functional = get_functional(args.operator)
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads!r}")
     step, _ = snap_grid_step(args.grid_step)
     try:
-        result = bound_search(
-            functional,
-            grid_step=step,
-            slack=args.slack,
-            threads=args.threads,
-            refine=args.refine,
-        )
+        result = bound_search(functional, grid_step=step, slack=args.slack, refine=args.refine)
     except BoundSearchError as exc:
         _emit(_json({"operator": functional.name, "error": str(exc)}), args.out)
         return 1

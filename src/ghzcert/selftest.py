@@ -23,11 +23,17 @@ prove λ_min(X) above the margin by more than eigvalsh's error. Such a point
 reads +∞; only the rest (2 of mermin π/24's 336) are eigensolved, to the bits
 of a full pass. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
 node angle table and node-index rows into it, in chunks of rows that gather
-their weights from the nodes' (``node_weights``). A map of more than
-SEARCH_CHUNK_ROWS points runs on worker threads, as numpy's batched
-eigensolvers, products and ufunc loops release the GIL. The caller takes
-every reduction (the largest threshold, the first minimum, the seeds to
-refine), with ties in grid order, so results do not depend on the worker count.
+their weights from the nodes' (``node_weights``). The caller takes every
+reduction (the largest threshold, the first minimum, the seeds to refine),
+with ties in grid order.
+
+A pass with a floor first clears whole cells, boxes of node indices that
+never straddle π/4 (``evaluate_grid``). With s and each party's branch fixed,
+X is affine in each party's u = (cos α, sin α) (``plane_weights``), so λ_min,
+concave in X, is least over a product of triangles at a vertex combination.
+The arc from a to b lies in the triangle u(a), u(b), (cos m, sin m)/cos(h/2),
+m = (a + b)/2, h = b − a: when ``_clears`` passes all 3⁴ combinations, every
+grid point of the cell is above the floor, up to rounding far below SCREEN_GAP.
 
 The grid holds one point per orbit of the functional's symmetry group
 (``symmetry_group``, ``_orbit_rows``). An element permutes the parties and
@@ -74,10 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,12 +106,12 @@ LAZY_MARGIN = 1e-9
 #: the LDLᵀ screen factors X − (floor + SCREEN_GAP)·𝟙: about 1,000 times the
 #: ~1e-13 rounding of LDLᵀ and eigvalsh for d ≤ 16 and ‖X‖₂ ≲ 20
 SCREEN_GAP = 1e-10
-#: a map of more than SEARCH_CHUNK_ROWS points, the bound on a threshold
-#: chunk's memory, splits into at least SEARCH_CHUNKS chunks, so that a few
-#: thousand points still spread over the workers; chunks never depend on the
-#: worker count
-SEARCH_CHUNKS = 8
-SEARCH_CHUNK_ROWS = 2048
+#: a map's chunks hold at most SEARCH_CHUNK_ROWS points, to bound their memory,
+#: and one only in a one-point map: numpy multiplies one row with gemv, not gemm
+SEARCH_CHUNK_ROWS = 512
+#: a cell of at most CELL_ROWS orbit rows is screened point by point, which
+#: costs no more than a check of its 3⁴ vertex combinations
+CELL_ROWS = 81
 #: a table entry off P's blocks, or an imaginary part, this small is rounding
 BLOCK_TOL = 1e-12
 #: a symmetry candidate is proven when W maps each table entry onto its image to this
@@ -206,9 +209,10 @@ def sigma_basis(pair) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def channel_weight(alpha: float | np.ndarray) -> float | np.ndarray:
-    """Mixing weight g(α) = (1+√2)(sin α + cos α − 1); equals 1 at π/4 (arrays too)."""
-    return (1.0 + SQRT2) * (np.sin(alpha) + np.cos(alpha) - 1.0)
+def channel_weight(c: float | np.ndarray, s: float | np.ndarray) -> float | np.ndarray:
+    """Mixing weight g = (1+√2)(s + c − 1) at a point (c, s) of the plane (arrays
+    too); at (cos α, sin α) it is 0 for α = 0 and π/2 and 1 for π/4."""
+    return (1.0 + SQRT2) * (s + c - 1.0)
 
 
 #: per-party coefficients of (𝟙, σ₊, σ₋) in a Bell term's factor, scaled by
@@ -283,16 +287,20 @@ def _contract(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out.view(table.dtype).reshape(-1, *table.shape[2:])
 
 
-def node_weights(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, B) weight vectors of every angle over (𝟙, σ₊, σ₋), each
-    ``angles.shape + (3,)``; the branch is +1 (Γ = σ₊) up to and including π/4, −1 above."""
-    angles = np.asarray(angles, dtype=float)
-    plus = angles <= QUARTER_PI
-    g = channel_weight(angles)
+def plane_weights(c: np.ndarray, s: np.ndarray, plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) weight vectors over (𝟙, σ₊, σ₋) at plane points (c, s), each ``c.shape +
+    (3,)``, affine in (c, s) on branch +1 (Γ = σ₊) where ``plus``, and on −1."""
+    g = channel_weight(c, s)
     p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
     k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
-    b_vectors = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], axis=-1)
+    b_vectors = np.stack([np.ones_like(c), c, s], axis=-1)
     return k_vectors, b_vectors
+
+
+def node_weights(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`plane_weights` at each angle's (cos α, sin α), on branch +1 up to π/4."""
+    angles = np.asarray(angles, dtype=float)
+    return plane_weights(np.cos(angles), np.sin(angles), angles <= QUARTER_PI)
 
 
 def certificate_operators(
@@ -542,8 +550,8 @@ def angle_nodes(grid_step: float) -> np.ndarray:
 
 
 def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
-    """One node-index row per orbit of ``group`` on the product grid, in
-    lexicographic order, enumerated without the product.
+    """One node-index row per orbit of ``group`` on the product grid, in no set
+    order, enumerated without the product.
 
     A row is a fold f_p = min(i_p, n − 1 − i_p), sorted within each class, and
     a side: the set of parties whose node lies above the middle (π/4) one. The
@@ -582,77 +590,114 @@ def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
         keep = side[_from_binary(side) == _from_binary(images & ~middles).min(axis=1)]
         f = folds[members][:, None, :]
         rows.append(np.where(keep, n_nodes - 1 - f, f).reshape(-1, parties))
-    rows = np.concatenate(rows)
-    return rows[np.lexsort(rows.T[::-1])]
+    return np.concatenate(rows)
+
+
+def _map_rows(rows: np.ndarray, fn: Callable, head: tuple, k_nodes: np.ndarray,
+              b_nodes: np.ndarray, functional: BellFunctional) -> np.ndarray:
+    """``fn(*head, k_vectors, b_vectors, functional)`` at rows of indices into
+    (parties, nodes, 3) weight tables, in row order, in near-equal chunks of at most
+    max(SEARCH_CHUNK_ROWS, 3) rows, and of one row only when ``rows`` has one."""
+    parties, size = np.arange(rows.shape[1]), len(rows)
+    if not size:
+        return np.empty(0)
+    chunks = max(1, min(-(-size // SEARCH_CHUNK_ROWS), size // 2))
+    return np.concatenate([
+        fn(*head, k_nodes[parties, part], b_nodes[parties, part], functional)
+        for part in (rows[i * size // chunks:(i + 1) * size // chunks] for i in range(chunks))
+    ])
 
 
 @dataclass(frozen=True)
 class Grid:
-    """A functional's Jordan-angle grid, with the map that evaluates it.
-
-    :func:`open_grid`'s ``indices`` hold one node-index row per orbit of the
-    symmetry group (:func:`_orbit_rows`). The chunks of a map run on ``pool``,
-    threads that share the functional's cached tables.
-    """
+    """A functional's Jordan-angle grid, with the map that evaluates it."""
 
     angles: np.ndarray  # (parties, k) node table: row r's party p is at angles[p, r[p]]
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
     functional: BellFunctional
-    pool: ThreadPoolExecutor | None  # None with one worker
 
     def point(self, row: np.ndarray) -> tuple[float, ...]:
         """The Jordan angles of node-index ``row``, one per party."""
         return tuple(float(a) for a in self.angles[np.arange(len(row)), row])
 
     def values(self, rows: np.ndarray, fn: Callable, *head) -> np.ndarray:
-        """``fn(*head, k_vectors, b_vectors, functional)`` at node-index ``rows``,
-        in row order, each chunk's weights gathered from the node weights.
-
-        Up to SEARCH_CHUNK_ROWS rows are one chunk, run in the calling thread.
-        More are at least SEARCH_CHUNKS chunks, on the pool when there is one.
-        A point's value is the same in every chunk of two or more rows.
-        """
-        size = len(rows)
-        step = size if size <= SEARCH_CHUNK_ROWS else min(
-            SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
-        k_nodes, b_nodes = node_weights(self.angles)
-        parties = np.arange(rows.shape[1])
-
-        def chunk(part: np.ndarray) -> np.ndarray:
-            return fn(*head, k_nodes[parties, part], b_nodes[parties, part], self.functional)
-
-        parts = [rows[i:i + step] for i in range(0, size, step)]
-        chunks = map if self.pool is None or len(parts) == 1 else self.pool.map
-        return np.concatenate(list(chunks(chunk, parts)))
+        """:func:`_map_rows` at node-index ``rows``, whose chunks keep each point's bits."""
+        return _map_rows(rows, fn, head, *node_weights(self.angles), self.functional)
 
 
-@contextmanager
-def open_grid(functional: BellFunctional, grid_step: float, threads: int):
-    """The grid of ``functional`` at ``grid_step``, with ``threads`` worker threads
-    for its maps, capped at the CPUs this process may run on.
-
-    The grid holds one point per orbit of :func:`symmetry_group` on the
-    product of :func:`angle_nodes`, one angle per node. Every point of the
-    product has the threshold and certificate spectrum of its orbit's point,
-    so every extremum over the grid is the product's.
+def open_grid(functional: BellFunctional, grid_step: float) -> Grid:
+    """The grid of ``functional`` at ``grid_step``: one node-index row per orbit of
+    :func:`symmetry_group` on the product of :func:`angle_nodes`
+    (:func:`_orbit_rows`), in lexicographic order. Every point of the product
+    has the threshold and certificate spectrum of its orbit's point, so every
+    extremum over the grid is the product's.
     """
     angles = np.tile(angle_nodes(grid_step), (functional.parties, 1))
-    indices = _orbit_rows(angles.shape[1], symmetry_group(functional))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, cpus or 1)
-    # Threads share the tables symmetry_group built above; two ran zhao pi/120 in
-    # 1.92 s against 3.34 s on one (BLAS pinned, fresh processes, 2 CPUs).
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        yield Grid(angles, indices, functional, pool)
+    rows, key = _orbit_rows(angles.shape[1], symmetry_group(functional)), 0
+    for column in rows.T:  # one sort key: np.lexsort took 137 of 175 ms at zhao π/120
+        key = key * angles.shape[1] + column.astype(np.int64)
+    return Grid(angles, rows[np.argsort(key, kind="stable")], functional)
+
+
+def _seed_step(intervals: int) -> int:
+    """The seed rows' and level-0 cells' node step: the nested π/12 grid's, or intervals/2."""
+    return intervals // 6 if intervals % 6 == 0 and intervals > 6 else intervals // 2
+
+
+def _cells_clear(s: float, grid: Grid, lo: np.ndarray, hi: np.ndarray, floor: float) -> np.ndarray:
+    """Whether :func:`certificate_eigenvalues` at ``floor`` reads +∞ at every vertex
+    combination of each cell, the box from node-index row ``lo`` to ``hi``."""
+    n = lo.shape[1]
+    a, b = (grid.angles[np.arange(n), ends] for ends in (lo, hi))
+    angles, ones = np.stack([a, b, (a + b) / 2.0], axis=-1), np.ones_like(a)
+    radius = np.stack([ones, ones, 1.0 / np.cos((b - a) / 2.0)], axis=-1)
+    plus = (hi <= (grid.angles.shape[1] - 1) // 2)[..., None]
+    weights = plane_weights(radius * np.cos(angles), radius * np.sin(angles), plus)
+    rows = 3 * np.arange(len(lo))[:, None, None] + np.indices((3,) * n).reshape(n, -1).T
+    screen = functools.partial(certificate_eigenvalues, floor=floor)
+    values = _map_rows(rows.reshape(-1, n), screen, (s,),
+                       *(w.swapaxes(0, 1).reshape(n, -1, 3) for w in weights), grid.functional)
+    return np.isposinf(values).reshape(len(lo), 3**n).all(axis=1)
 
 
 def evaluate_grid(s: float, grid: Grid, floor: float = -math.inf) -> np.ndarray:
-    """Certificate minimum eigenvalue at every point of a grid (:func:`open_grid`,
-    or ``--refine``'s sub-grid), in grid order; with a finite ``floor``, +∞
-    where :func:`certificate_eigenvalues`' LDLᵀ screen, backward stable with
-    SCREEN_GAP to spare, proves it above that; the same bits for any worker count.
+    """Certificate minimum eigenvalue at every point of an :func:`open_grid` grid,
+    in grid order; with a finite ``floor``, +∞ where it is proven above that,
+    and the bits of the pass without one elsewhere.
+
+    Level 0 is the boxes between the seed rows. A cell of more than CELL_ROWS
+    orbit rows clears by :func:`_cells_clear` or splits each party's interval
+    in two; smaller cells' rows go to the LDLᵀ screen in one batch.
     """
-    return grid.values(grid.indices, functools.partial(certificate_eigenvalues, floor=floor), s)
+    if floor == -math.inf:
+        return grid.values(grid.indices, certificate_eigenvalues, s)
+    intervals = grid.angles.shape[1] - 1
+    parts, parties = intervals // _seed_step(intervals), grid.indices.shape[1]
+    lo, width, cell = np.zeros((1, parties), int), np.full((1, parties), intervals), 0
+    rows, at, screened = grid.indices, np.arange(len(grid.indices)), []
+    while len(rows):  # the root box splits into level 0's cells, later cells in halves
+        kid = cell * parts**parties
+        for p in range(parties):
+            digit = (rows[:, p] - lo[cell, p]) * parts // width[cell, p]
+            kid = kid + np.minimum(digit, parts - 1) * parts ** (parties - 1 - p)
+        counts = np.bincount(kid)
+        big = np.flatnonzero(counts > CELL_ROWS)
+        parent, *digits = np.unravel_index(big, (len(lo),) + (parts,) * parties)
+        kid_lo, kid_hi = (lo[parent] + width[parent] * (np.stack(digits, axis=1) + d) // parts
+                          for d in (0, 1))
+        failing = ~_cells_clear(s, grid, kid_lo, kid_hi, floor) if len(big) else np.zeros(0, bool)
+        screened.append(at[counts[kid] <= CELL_ROWS])
+        cell = np.full(len(counts), -1)
+        cell[big[failing]] = np.arange(np.count_nonzero(failing))
+        cell = cell[kid]
+        kept = cell >= 0
+        rows, at, cell = rows[kept], at[kept], cell[kept]
+        lo, width, parts = kid_lo[failing], (kid_hi - kid_lo)[failing], 2
+    values = np.full(len(grid.indices), math.inf)
+    points = np.sort(np.concatenate(screened))
+    values[points] = grid.values(grid.indices[points],
+                                 functools.partial(certificate_eigenvalues, floor=floor), s)
+    return values
 
 
 @dataclass(frozen=True)
@@ -666,8 +711,8 @@ class BoundSearchResult:
 
 def _refine_grid(grid: Grid, seeds: np.ndarray, grid_step: float) -> Grid:
     """The 5ⁿ sub-grid at step/4 around each seed node-index row, clipped to
-    [0, π/2], on ``grid``'s pool: seed i's party p has nodes 5i to 5i + 4, and
-    its rows, 5i + every local index tuple in lexicographic order, follow i − 1's."""
+    [0, π/2]: seed i's party p has nodes 5i to 5i + 4, and its rows, 5i + every
+    local index tuple in lexicographic order, follow i − 1's."""
     offsets = np.arange(-2, 3) * (grid_step / 4.0)
     seed_count, parties = seeds.shape
     angles = np.clip(grid.angles[np.arange(parties), seeds][..., None] + offsets, 0.0, HALF_PI)
@@ -689,61 +734,59 @@ def bound_search(
     functional: BellFunctional,
     grid_step: float = DEFAULT_GRID_STEP,
     slack: float = DEFAULT_SLACK,
-    threads: int = 1,
     refine: bool = False,
 ) -> BoundSearchResult:
     """Smallest slope s passing the grid certificate, the largest threshold
     (:func:`slope_thresholds`) on the grid, found with one certificate pass.
 
     The seed s₀ is the largest threshold on the rows whose node indices are
-    all multiples of j: the nested π/12 grid (j = intervals/6) when 6 divides
-    the interval count and it exceeds 6, else the corners and π/4 (j =
-    intervals/2). An :func:`evaluate_grid` pass at s₀ flags the points with
-    minimum eigenvalue below LAZY_MARGIN, its ``floor``: the points its LDLᵀ
-    screen clears read +∞ with no eigensolve, which the factorization's
-    backward error and SCREEN_GAP make sound (module docstring). Every other
-    point's threshold is below s₀, and its minimum at s ≥ s₀ at least the
-    margin. So s is the largest of s₀ and the flagged thresholds, and the
-    minimum, which must stay above −``slack``, and the worst point (the first
-    in grid order among ties) come from the flagged points at s; μ is
-    1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest grid
-    points at s may lower the reported minimum and move the worst point.
-    Maps of more than one chunk run on the grid's worker threads. Raises
+    all multiples of :func:`_seed_step`. An :func:`evaluate_grid` pass at s₀
+    flags the points with minimum eigenvalue below LAZY_MARGIN, its ``floor``;
+    the cells and points it clears are soundly above it (module docstring).
+    Every other point's threshold is below s₀, and its minimum at s ≥ s₀ at
+    least the margin. So s is the largest of s₀ and the flagged thresholds,
+    and the minimum, which must stay above −``slack``, and the worst point
+    (the first in grid order among ties) come from the flagged points at s;
+    μ is 1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest
+    grid points at s may lower the minimum and move the worst point. A pass
+    at the floor F = (4·step)² finds those points when its 100th lowest value
+    is below F, as each point it clears is above F, else a pass with no floor
+    does; the sub-grid is screened at the minimum so far. Raises
     :class:`BoundSearchError` when s₀ or s exceeds 1, which signals a wrong
     channel family or functional, when s fails the check or nothing is
-    flagged, and ValueError for a ``slack`` that is negative or not finite or
-    fewer than one thread.
+    flagged, and ValueError for a ``slack`` that is negative or not finite.
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
-    with open_grid(functional, grid_step, threads) as grid:
-        intervals = grid.angles.shape[1] - 1
-        j = intervals // 6 if intervals % 6 == 0 and intervals > 6 else intervals // 2
-        nested = grid.indices[(grid.indices % j == 0).all(axis=1)]
-        s = _feasible(float(grid.values(nested, slope_thresholds).max()))
-        flagged = np.flatnonzero(evaluate_grid(s, grid, floor=LAZY_MARGIN) < LAZY_MARGIN)
-        if not len(flagged):
-            raise BoundSearchError(f"no grid point is tight at the seed slope {s!r}")
-        rows = grid.indices[flagged]
-        s = _feasible(max(s, float(grid.values(rows, slope_thresholds).max())))
-        values = grid.values(rows, certificate_eigenvalues, s)
-        worst_row = flagged[np.argmin(values)]  # the first in grid order among ties
-        min_eig = float(values.min())
-        if min_eig < -slack:
-            raise BoundSearchError(
-                f"threshold slope {s!r} fails the grid certificate "
-                f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
-            )
-        worst = grid.point(grid.indices[worst_row])
-        if refine:
-            seeds = grid.indices[np.argsort(evaluate_grid(s, grid), kind="stable")[:100]]
-            sub = _refine_grid(grid, seeds, grid_step)
-            local = evaluate_grid(s, sub)
-            if local.min() < min_eig:
-                min_eig = float(local.min())
-                worst = sub.point(sub.indices[np.argmin(local)])
+    grid = open_grid(functional, grid_step)
+    nested = grid.indices[(grid.indices % _seed_step(grid.angles.shape[1] - 1) == 0).all(axis=1)]
+    s = _feasible(float(grid.values(nested, slope_thresholds).max()))
+    flagged = np.flatnonzero(evaluate_grid(s, grid, floor=LAZY_MARGIN) < LAZY_MARGIN)
+    if not len(flagged):
+        raise BoundSearchError(f"no grid point is tight at the seed slope {s!r}")
+    rows = grid.indices[flagged]
+    s = _feasible(max(s, float(grid.values(rows, slope_thresholds).max())))
+    values = grid.values(rows, certificate_eigenvalues, s)
+    worst_row = flagged[np.argmin(values)]  # the first in grid order among ties
+    min_eig = float(values.min())
+    if min_eig < -slack:
+        raise BoundSearchError(
+            f"threshold slope {s!r} fails the grid certificate "
+            f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
+        )
+    worst = grid.point(grid.indices[worst_row])
+    if refine:
+        floor = (4.0 * grid_step) ** 2
+        values = evaluate_grid(s, grid, floor)
+        lowest = np.argsort(values, kind="stable")[:100]
+        if not values[lowest[-1]] < floor:
+            lowest = np.argsort(evaluate_grid(s, grid), kind="stable")[:100]
+        sub = _refine_grid(grid, grid.indices[lowest], grid_step)
+        local = sub.values(sub.indices,
+                           functools.partial(certificate_eigenvalues, floor=min_eig), s)
+        if local.min() < min_eig:
+            min_eig = float(local.min())
+            worst = sub.point(sub.indices[np.argmin(local)])
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=len(grid.indices),
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,

@@ -49,7 +49,6 @@ from ghzcert.selftest import (
     HALF_PI,
     QUARTER_PI,
     SEARCH_CHUNK_ROWS,
-    SEARCH_CHUNKS,
     BoundSearchError,
     BoundSearchResult,
     KERNEL_TOL,
@@ -107,7 +106,7 @@ def extraction_channel(alpha: float, rho: np.ndarray, basis, branch: int | None 
     if branch is None:
         branch = 1 if alpha <= QUARTER_PI else -1
     gamma = plus if branch == 1 else minus
-    g = channel_weight(alpha)
+    g = channel_weight(math.cos(alpha), math.sin(alpha))
     return 0.5 * (1.0 + g) * rho + 0.5 * (1.0 - g) * (gamma @ rho @ gamma)
 
 
@@ -117,7 +116,7 @@ def branch_weights(angles, branches) -> tuple[np.ndarray, np.ndarray]:
     ``branches`` (+1 for σ₊, −1 for σ₋) instead of from the angle."""
     angles = np.asarray(angles, dtype=float)
     plus = np.asarray(branches) == 1
-    g = channel_weight(angles)
+    g = channel_weight(np.cos(angles), np.sin(angles))
     p_w, q_w = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
     k_vectors = np.stack([p_w, np.where(plus, q_w, 0.0), np.where(plus, 0.0, q_w)], axis=-1)
     b_vectors = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], axis=-1)
@@ -152,11 +151,10 @@ def build_K(angles, functional: BellFunctional) -> np.ndarray:
     return k_op[0]
 
 
-def _evaluate(s: float, functional: BellFunctional, step: float, threads: int):
+def _evaluate(s: float, functional: BellFunctional, step: float):
     """Certificate minimum eigenvalues at slope ``s`` on a grid opened for it, in
     grid order (one :func:`evaluate_grid` pass)."""
-    with open_grid(functional, step, threads) as grid:
-        return evaluate_grid(s, grid)
+    return evaluate_grid(s, open_grid(functional, step))
 
 
 def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: float = 1e-9,
@@ -164,39 +162,39 @@ def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: f
     """The bound search as two full passes, in one process: every grid point's
     threshold, then the certificate minimum of every grid point at their
     maximum, whose least value and first worst point are the result;
-    ``refine`` as in ``bound_search``, one batch per seed. Both passes split the
-    grid into at least SEARCH_CHUNKS chunks of at most SEARCH_CHUNK_ROWS
-    points."""
-    with open_grid(functional, grid_step, 1) as grid:
-        size = len(grid.indices)
-        step = min(SEARCH_CHUNK_ROWS, -(-size // SEARCH_CHUNKS))
-        nodes = angle_nodes(grid_step)
-        chunks = [node_weights(nodes[grid.indices[i:i + step]]) for i in range(0, size, step)]
-        s = max(float(slope_thresholds(*points, functional).max()) for points in chunks)
-        if not s <= 1.0:
-            raise BoundSearchError(
-                "certificate infeasible at s=1; channel family does not match the functional"
-            )
-        values = np.concatenate([certificate_eigenvalues(s, *points, functional)
-                                 for points in chunks])
-        worst_row = int(np.argmin(values))
-        min_eig = float(values[worst_row])
-        if min_eig < -slack:
-            raise BoundSearchError(
-                f"threshold slope {s!r} fails the grid certificate "
-                f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
-            )
-        worst = tuple(float(a) for a in nodes[grid.indices[worst_row]])
-        if refine:
-            offsets = np.arange(-2, 3) * (grid_step / 4.0)
-            local = np.indices((5,) * 4).reshape(4, -1).T
-            for seed in grid.indices[np.argsort(values, kind="stable")[:100]]:
-                sub = np.clip(nodes[seed][:, None] + offsets, 0.0, HALF_PI)  # (4, 5)
-                points = sub[np.arange(4), local]  # (625, 4)
-                seed_values = certificate_eigenvalues(s, *node_weights(points), functional)
-                row = int(np.argmin(seed_values))
-                if seed_values[row] < min_eig:
-                    min_eig, worst = float(seed_values[row]), tuple(map(float, points[row]))
+    ``refine`` as in ``bound_search``, one batch per seed. Both passes take the
+    grid in consecutive chunks of SEARCH_CHUNK_ROWS points, the last one
+    shorter."""
+    grid = open_grid(functional, grid_step)
+    size = len(grid.indices)
+    nodes = angle_nodes(grid_step)
+    chunks = [node_weights(nodes[grid.indices[i:i + SEARCH_CHUNK_ROWS]])
+              for i in range(0, size, SEARCH_CHUNK_ROWS)]
+    s = max(float(slope_thresholds(*points, functional).max()) for points in chunks)
+    if not s <= 1.0:
+        raise BoundSearchError(
+            "certificate infeasible at s=1; channel family does not match the functional"
+        )
+    values = np.concatenate([certificate_eigenvalues(s, *points, functional)
+                             for points in chunks])
+    worst_row = int(np.argmin(values))
+    min_eig = float(values[worst_row])
+    if min_eig < -slack:
+        raise BoundSearchError(
+            f"threshold slope {s!r} fails the grid certificate "
+            f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
+        )
+    worst = tuple(float(a) for a in nodes[grid.indices[worst_row]])
+    if refine:
+        offsets = np.arange(-2, 3) * (grid_step / 4.0)
+        local = np.indices((5,) * 4).reshape(4, -1).T
+        for seed in grid.indices[np.argsort(values, kind="stable")[:100]]:
+            sub = np.clip(nodes[seed][:, None] + offsets, 0.0, HALF_PI)  # (4, 5)
+            points = sub[np.arange(4), local]  # (625, 4)
+            seed_values = certificate_eigenvalues(s, *node_weights(points), functional)
+            row = int(np.argmin(seed_values))
+            if seed_values[row] < min_eig:
+                min_eig, worst = float(seed_values[row]), tuple(map(float, points[row]))
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=size,
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,

@@ -2,7 +2,8 @@
 
 The SHA-256 digests below are of the outputs of ``simulate`` (transcript file
 and stdout) for each source, of ``replay`` (stdout) in both modes, and of
-``bound`` (stdout) on four grids with and without ``--refine``. Any change to
+``bound`` (stdout) on seven operator grids with and without ``--refine``; at
+π/60 the lazy pass clears whole grid cells at their vertices. Any change to
 a random draw, to a round's score, to the transcript format, to a
 certificate's bits or to the JSON summaries changes a digest.
 """
@@ -39,7 +40,7 @@ REPLAY_GOLDEN = {
     "decomposed": "2aecb4429bb7365389556704d5bbcb504aad4b91e9136d2d543725065e9a579c",
 }
 
-# (operator, pi/step, --refine) -> stdout digest, the same for 1 and 2 workers
+# (operator, pi/step, --refine) -> stdout digest, the same for --threads 1 and 2
 BOUND_GOLDEN = {
     ("mermin", 24, False): "93e4a49c48610236e2378af0a95b440517e3e92233d0760bc871e8b35f5a5f3a",
     ("mermin", 24, True): "783382654b36bce1b4e827e6e0bd1d0aeb062ce1e7fa2a17239a21e68f0cb8de",
@@ -49,6 +50,12 @@ BOUND_GOLDEN = {
     ("baccari", 24, True): "3de65e42186d2353d7ce59ba33becd268319204a48bb3d09dde3de317a8322e1",
     ("zhao", 12, False): "ff32f9d12957b03db6e53586bb85e299bdbc0e84a8a691939ce02e9cee4721bb",
     ("zhao", 12, True): "0d28c2edecad1ab954ead71a676c9d968f0de49ab2d33b84dc07d71a32882430",
+    ("mermin", 60, False): "d817dddc152d72b5b92526115baa2c97e9d04c6e092bd813a895c21a25f2f4be",
+    ("mermin", 60, True): "091fff5077c4891bdebdaf39e6be2512b45a5fb3ce71030e0fd65c55e3216a32",
+    ("baccari", 60, False): "03d7667d8d0887bb727b0cdea0c4b3b445820fae92fd9c56e60cb6a4ae53395c",
+    ("baccari", 60, True): "ffdd96f09dae547fdc47380abdad1e4433e6ee48edcbc0abb897e2cab04cb083",
+    ("zhao", 60, False): "becfca9bf3e7fb5a35446a92626476fbf4c7979d2b17dd78ffba84ceb5e4b149",
+    ("zhao", 60, True): "e602851b6b1cc247575e5ca1da4ba805bbd69008c8f3bc2b7e3233acd06276a5",
 }
 
 

@@ -1,11 +1,10 @@
 """Jordan certificate machinery and the self-testing bound search."""
 
 import dataclasses
+import functools
 import importlib
 import itertools
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -21,15 +20,18 @@ from ghzcert.bell import (
 )
 from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
+    CELL_ROWS,
     LAZY_MARGIN,
     PROOF_TOL,
     SCREEN_GAP,
     SEARCH_CHUNK_ROWS,
     BoundSearchError,
     SelfTestBound,
+    _cells_clear,
     _certificate_tables,
     _clears,
     _dense,
+    _seed_step,
     _table_image,
     angle_nodes,
     bound_search,
@@ -94,9 +96,8 @@ def test_jordan_observable_validation():
 
 
 def test_channel_weight_special_points():
-    assert channel_weight(QUARTER) == pytest.approx(1.0, abs=1e-12)
-    assert channel_weight(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert channel_weight(math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+    for alpha, g, tol in ((QUARTER, 1.0, 1e-12), (0.0, 0.0, 1e-15), (math.pi / 2, 0.0, 1e-12)):
+        assert channel_weight(math.cos(alpha), math.sin(alpha)) == pytest.approx(g, abs=tol)
 
 
 def _random_qubit_state(rng):
@@ -258,7 +259,7 @@ def test_certificate_at_ideal_point():
 def test_certificate_negative_below_published_slope():
     """A slope below the ideal-point threshold 1/8 fails somewhere on the grid."""
     f = mermin_functional()
-    assert _evaluate(0.1, f, math.pi / 12, 1).min() < 0
+    assert _evaluate(0.1, f, math.pi / 12).min() < 0
 
 
 def test_certificate_permutation_invariant_for_mermin():
@@ -481,10 +482,10 @@ def test_changed_coefficient_loses_broken_symmetries():
 def test_gathered_node_weights_equal_weights_at_the_points():
     """A task's points take their weights from the node tables: the same bits
     as the weights computed at each point's angles, on baccari's π/60 grid."""
-    with open_grid(baccari_functional(), math.pi / 60, 1) as grid:
-        parties, rows = np.arange(4), grid.indices
-        gathered = [w[parties, rows] for w in node_weights(grid.angles)]
-        direct = node_weights(grid.angles[parties, rows])
+    grid = open_grid(baccari_functional(), math.pi / 60)
+    parties, rows = np.arange(4), grid.indices
+    gathered = [w[parties, rows] for w in node_weights(grid.angles)]
+    direct = node_weights(grid.angles[parties, rows])
     for a, b in zip(gathered, direct):
         assert a.shape == (len(rows), 4, 3)
         assert np.array_equal(a, b)
@@ -529,8 +530,8 @@ def test_open_grid_sizes(operator, pi_over, size):
     held before the symmetry reduction: the product of the nodes, or its
     sorted tuples for mermin, whose parties are all interchangeable."""
     f = get_functional(operator)
-    with open_grid(f, math.pi / pi_over, 1) as grid:
-        rows, n = grid.indices, grid.angles.shape[1]
+    grid = open_grid(f, math.pi / pi_over)
+    rows, n = grid.indices, grid.angles.shape[1]
     group = symmetry_group(f)
     images = group_images(rows, group, n)
     keys = np.sort(images @ n ** np.arange(4), axis=1)
@@ -550,17 +551,17 @@ ORBITS = {
 
 @pytest.mark.parametrize("operator, pi_over", sorted(ORBITS))
 def test_grid_holds_one_point_per_orbit(operator, pi_over):
-    with open_grid(get_functional(operator), math.pi / pi_over, 1) as grid:
-        assert grid.indices.shape == (ORBITS[operator, pi_over], 4)
-        assert np.array_equal(grid.indices, np.unique(grid.indices, axis=0))  # sorted, distinct
+    grid = open_grid(get_functional(operator), math.pi / pi_over)
+    assert grid.indices.shape == (ORBITS[operator, pi_over], 4)
+    assert np.array_equal(grid.indices, np.unique(grid.indices, axis=0))  # sorted, distinct
 
 
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
 def test_every_product_point_maps_into_the_grid(operator):
     """At π/12, some element maps each of the 7⁴ product points onto a grid row."""
     f = get_functional(operator)
-    with open_grid(f, math.pi / 12, 1) as grid:
-        rows, n = grid.indices, grid.angles.shape[1]
+    grid = open_grid(f, math.pi / 12)
+    rows, n = grid.indices, grid.angles.shape[1]
     product = np.indices((n,) * 4).reshape(4, -1).T
     keys = group_images(product, symmetry_group(f), n) @ n ** np.arange(4)
     assert np.isin(keys, rows @ n ** np.arange(4)).any(axis=1).all()
@@ -573,7 +574,7 @@ def test_grid_matches_branch_resolved_grid(operator, grid_step):
     minimum at it, are those of the full product grid with π/4 on both
     branches, up to rounding."""
     f = get_functional(operator)
-    result = bound_search(f, grid_step=grid_step, threads=2)
+    result = bound_search(f, grid_step=grid_step)
     s, minimum = product_grid_extrema(f, grid_step)
     assert abs(result.bound.s - s) <= 1e-14
     assert abs(result.min_eig - minimum) <= 1e-14
@@ -587,102 +588,28 @@ def test_snap_grid_step_accepts_rounded_values():
         snap_grid_step(math.pi / 6 + 1e-9)  # odd interval count, pi/4 off grid
 
 
-def test_grid_evaluation_thread_count_invariant(monkeypatch):
-    """Maps of more than one chunk, so the pool runs, are bit-equal for 1, 2, 3
-    and 8 workers, with CPUs for all of them claimed and thread switches
-    forced often: mermin's 6,936 π/60 certificate minima, the thresholds at
-    the same points, and the odd-body functional's (``_odd_body_functional``,
-    one complex 16×16 block) minima on its π/24 grid."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for f, step, fn, head in (
-            (mermin_functional(), math.pi / 60, certificate_eigenvalues, (0.2,)),
-            (mermin_functional(), math.pi / 60, slope_thresholds, ()),
-            (_odd_body_functional(), math.pi / 24, certificate_eigenvalues, (0.3,)),
-        ):
-            runs = []
-            for threads in (1, 2, 3, 8):
-                with open_grid(f, step, threads) as grid:
-                    assert len(grid.indices) > SEARCH_CHUNK_ROWS
-                    runs.append(grid.values(grid.indices, fn, *head))
-            assert all(np.array_equal(run, runs[0]) for run in runs[1:])
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_worker_threads_share_the_cached_tables():
-    """A warmed 2-worker mermin π/60 search, whose passes run on the pool,
-    builds no certificate tables: every thread reads the caller's."""
-    f = mermin_functional()
-    ref = bound_search(f, grid_step=math.pi / 60, threads=1)
-    misses = _certificate_tables.cache_info().misses
-    assert bound_search(f, grid_step=math.pi / 60, threads=2) == ref
-    assert _certificate_tables.cache_info().misses == misses
-
-
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: runs each chunk in the calling thread,
-    and records each pool's worker count and each map's chunk count."""
-
-    workers: list = []
-    maps: list = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        self.maps.append(len(chunks))
-        return map(fn, chunks)
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "ThreadPoolExecutor",
-                        _InlinePool)
-    monkeypatch.setattr(_InlinePool, "workers", [])
-    monkeypatch.setattr(_InlinePool, "maps", [])
-    return _InlinePool
-
-
-def test_grid_pool_capped_at_usable_cpus(inline_pool, monkeypatch):
-    """``threads`` above the usable CPU count starts one worker per CPU, no more."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    f = mermin_functional()
-    ref = _evaluate(0.2, f, math.pi / 60, 1)
-    for threads in (2, 3, 10_000):
-        assert np.array_equal(_evaluate(0.2, f, math.pi / 60, threads), ref)
-    assert inline_pool.workers == [2, 3, 3]
-
-
-def test_small_grid_maps_on_no_pool(inline_pool, monkeypatch):
-    """Grids whose points fit one chunk (mermin π/24, zhao π/12) run in the
-    calling thread: the pool is made but no map runs on it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for operator, pi_over in (("mermin", 24), ("zhao", 12)):
-        f = get_functional(operator)
-        ref = bound_search(f, grid_step=math.pi / pi_over, threads=1)
-        assert ref.points <= SEARCH_CHUNK_ROWS
-        assert bound_search(f, grid_step=math.pi / pi_over, threads=2) == ref
-    assert (inline_pool.workers, inline_pool.maps) == ([2, 2], [])
-
-
-def test_refine_maps_over_the_pool(inline_pool):
-    """mermin π/8's 20 grid points are searched in the calling thread, and
-    --refine's sub-grid of 20 · 625 = 12,500 points in eight chunks on the
-    pool, made once."""
-    f = mermin_functional()
-    result = bound_search(f, grid_step=math.pi / 8, threads=2, refine=True)
-    assert result.points == 20
-    assert (inline_pool.workers, inline_pool.maps) == ([2], [8])
-    assert result == bound_search(f, grid_step=math.pi / 8, threads=1, refine=True)
+@pytest.mark.parametrize("chunk_rows", [2, 3, 7])
+def test_grid_evaluation_chunk_size_invariant(chunk_rows, monkeypatch):
+    """Maps in chunks of at most 2, 3 and 7 rows are bit-equal to maps in the
+    default chunks: mermin's 6,936 π/60 certificate minima with no floor and
+    at the floor LAZY_MARGIN, the thresholds at the same points, and the
+    odd-body functional's (``_odd_body_functional``, one complex 16×16 block)
+    minima on its π/24 grid."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    mermin = open_grid(mermin_functional(), math.pi / 60)
+    odd = open_grid(_odd_body_functional(), math.pi / 24)
+    passes = (
+        lambda: evaluate_grid(0.2, mermin),
+        lambda: evaluate_grid(7 / 32, mermin, floor=LAZY_MARGIN),
+        lambda: mermin.values(mermin.indices, slope_thresholds),
+        lambda: evaluate_grid(0.3, odd),
+    )
+    assert len(mermin.indices) > SEARCH_CHUNK_ROWS
+    default = [run() for run in passes]
+    assert np.isfinite(default[1]).any() and np.isposinf(default[1]).any()
+    monkeypatch.setattr(selftest, "SEARCH_CHUNK_ROWS", chunk_rows)
+    for run, ref in zip(passes, default):
+        assert np.array_equal(run(), ref)
 
 
 def test_self_test_bound_saturation():
@@ -814,7 +741,7 @@ def _bisected_slope(functional, grid_step, tol=1e-4, slack=1e-9):
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if _evaluate(mid, functional, grid_step, 1).min() >= -slack:
+        if _evaluate(mid, functional, grid_step).min() >= -slack:
             hi = mid
         else:
             lo = mid
@@ -826,8 +753,8 @@ def test_bound_search_returns_exact_grid_threshold(operator):
     f = get_functional(operator)
     step = math.pi / 12
     s = bound_search(f, grid_step=step).bound.s
-    assert _evaluate(s, f, step, 1).min() >= -1e-9
-    assert _evaluate(s - 1e-6, f, step, 1).min() < 0
+    assert _evaluate(s, f, step).min() >= -1e-9
+    assert _evaluate(s - 1e-6, f, step).min() < 0
     assert abs(s - _bisected_slope(f, step)) <= 1e-4
 
 
@@ -851,16 +778,6 @@ def test_builtin_functional_is_one_instance():
     assert bound_search(get_functional("zhao"), grid_step=math.pi / 12) == first
 
 
-def test_bound_search_thread_count_invariant():
-    """A certificate pass of eight chunks of 319 rows (zhao's 2,548 π/24 orbit
-    points) on one shared pool per search."""
-    f = zhao_functional()
-    ref = bound_search(f, grid_step=math.pi / 24, threads=1)
-    assert ref.points == 2548
-    for threads in (2, 3):
-        assert bound_search(f, grid_step=math.pi / 24, threads=threads) == ref
-
-
 #: the grids on which bound's output stays as the two-pass search had it
 SEARCH_GRIDS = [
     ("mermin", 24), ("mermin", 60), pytest.param("mermin", 120, marks=pytest.mark.slow),
@@ -872,12 +789,10 @@ SEARCH_GRIDS = [
 @pytest.mark.parametrize("operator, pi_over", SEARCH_GRIDS)
 def test_lazy_search_matches_two_pass_search(operator, pi_over):
     """Slope, minimum and worst point are the bits of every threshold's maximum
-    and a full certificate pass at it, for 1, 2 and 3 workers."""
+    and a full certificate pass at it."""
     f = get_functional(operator)
     step = math.pi / pi_over
-    ref = two_pass_bound_search(f, step)
-    for threads in (1, 2, 3):
-        assert bound_search(f, grid_step=step, threads=threads) == ref
+    assert bound_search(f, grid_step=step) == two_pass_bound_search(f, step)
 
 
 @pytest.mark.parametrize("operator, pi_over", [("baccari", 12), ("baccari", 24)])
@@ -891,11 +806,10 @@ def test_lazy_refine_matches_two_pass_search(operator, pi_over, monkeypatch):
                         lambda grid, rows, step: seeds.append(rows) or exact(grid, rows, step))
     f = get_functional(operator)
     step = math.pi / pi_over
-    lazy = bound_search(f, grid_step=step, threads=2, refine=True)
+    lazy = bound_search(f, grid_step=step, refine=True)
     assert lazy == two_pass_bound_search(f, step, refine=True)
-    with open_grid(f, step, 1) as grid:
-        lowest = np.argsort(_evaluate(lazy.bound.s, f, step, 1), kind="stable")[:100]
-        assert np.array_equal(seeds[0], grid.indices[lowest])
+    lowest = np.argsort(_evaluate(lazy.bound.s, f, step), kind="stable")[:100]
+    assert np.array_equal(seeds[0], open_grid(f, step).indices[lowest])
 
 
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
@@ -943,8 +857,8 @@ def test_worst_point_is_the_first_among_ties(monkeypatch):
     monkeypatch.setattr(importlib.import_module("ghzcert.selftest"), "certificate_eigenvalues",
                         lambda s, angles, *rest, **floor: np.zeros(len(angles)))
     result = bound_search(mermin_functional(), grid_step=math.pi / 8)
-    with open_grid(mermin_functional(), math.pi / 8, 1) as grid:
-        first = grid.point(grid.indices[0])
+    grid = open_grid(mermin_functional(), math.pi / 8)
+    first = grid.point(grid.indices[0])
     assert (result.worst_point, result.min_eig, result.bound.s) == (first, 0.0, 7 / 32)
 
 
@@ -959,20 +873,30 @@ def test_search_with_no_flagged_point_raises(monkeypatch):
 
 @pytest.mark.parametrize("name, pi_over", [
     *itertools.product(("mermin", "baccari", "zhao"), (12, 24, 60)), ("odd body", 12),
+    pytest.param("odd body", 60, marks=pytest.mark.slow),
+    pytest.param("rotated mermin", 60, marks=pytest.mark.slow),
 ])
 def test_screen_keeps_the_bits_of_every_point_it_does_not_clear(name, pi_over, monkeypatch):
     """At the seed slope s₀ of the lazy pass and at s₀ ± 1e-3, a screened pass
     reads the unscreened bits wherever it is finite, and +∞ only where the
-    unscreened minimum is at least LAZY_MARGIN."""
+    unscreened minimum is at least LAZY_MARGIN. At π/60 the screen clears whole
+    cells. rotated mermin's seed rows include a kernel leak, an infinite
+    threshold, so its search stops before the pass; its screen is checked at
+    the largest finite seed threshold."""
     selftest = importlib.import_module("ghzcert.selftest")
     passes, exact = [], selftest.evaluate_grid
     monkeypatch.setattr(selftest, "evaluate_grid", lambda s, grid, floor=-math.inf: (
-        passes.append((s, grid, floor)) or exact(s, grid, floor)))
-    bound_search(ORACLE_FUNCTIONALS[name](), grid_step=math.pi / pi_over)
-    [(seed, grid, floor)] = passes
-    assert floor == LAZY_MARGIN
+        passes.append((s, floor)) or exact(s, grid, floor)))
+    f = ORACLE_FUNCTIONALS[name]()
+    grid = open_grid(f, math.pi / pi_over)
+    nested = grid.indices[(grid.indices % _seed_step(grid.angles.shape[1] - 1) == 0).all(axis=1)]
+    thresholds = grid.values(nested, slope_thresholds)
+    seed = float(thresholds[np.isfinite(thresholds)].max())
+    if seed == thresholds.max():
+        bound_search(f, grid_step=math.pi / pi_over)
+        assert passes == [(seed, LAZY_MARGIN)]
     for s in (seed - 1e-3, seed, seed + 1e-3):
-        plain, screened = evaluate_grid(s, grid), evaluate_grid(s, grid, floor=LAZY_MARGIN)
+        plain, screened = exact(s, grid), exact(s, grid, floor=LAZY_MARGIN)
         kept = np.isfinite(screened)
         assert not kept.all() and (kept.any() or s > seed)
         assert np.array_equal(screened[kept], plain[kept])
@@ -1026,10 +950,66 @@ def test_lazy_pass_eigensolves_only_the_flagged_points(monkeypatch):
 
 
 def test_chunk_that_clears_every_point_calls_no_eigensolver(monkeypatch):
-    """Every point at s = 7/32 is above −1: each of the eight chunks of mermin
-    π/60's 6,936 points clears, and eigvalsh is never called."""
-    with open_grid(mermin_functional(), math.pi / 60, 1) as grid:
-        assert len(grid.indices) > SEARCH_CHUNK_ROWS
-        sizes = _eigvalsh_batches(monkeypatch)
-        values = evaluate_grid(7 / 32, grid, floor=-1.0)
+    """Every point at s = 7/32 is above −1: each chunk of mermin π/60's 6,936
+    points clears, and eigvalsh is never called."""
+    grid = open_grid(mermin_functional(), math.pi / 60)
+    assert len(grid.indices) > SEARCH_CHUNK_ROWS
+    sizes = _eigvalsh_batches(monkeypatch)
+    values = grid.values(grid.indices, functools.partial(certificate_eigenvalues, floor=-1.0),
+                         7 / 32)
     assert sizes == [] and np.isposinf(values).all()
+
+
+def test_cell_check_needs_the_tangent_vertex():
+    """mermin π/24 at 7/32, with party 1 spanning nodes 8 to 12 and the others
+    on nodes 9, 0 and 1: λ_min dips to 0.043 inside, between 0.066 and 0.057 at
+    the ends. At the floor 0.05 both ends clear, so a check of the chord's ends
+    alone would clear the cell; the tangent vertex fails it, and clears it at
+    the floor 0.02."""
+    f, s, floor = mermin_functional(), 7 / 32, 0.05
+    grid = open_grid(f, math.pi / 24)
+    rows = np.array([[i, 9, 0, 1] for i in range(8, 13)])
+    values = grid.values(rows, certificate_eigenvalues, s)
+    assert values.min() < floor - 5e-3 and values[[0, -1]].min() > floor + 5e-3
+    ends = grid.values(rows[[0, -1]], functools.partial(certificate_eigenvalues, floor=floor), s)
+    assert np.isposinf(ends).all()
+    assert not _cells_clear(s, grid, rows[:1], rows[-1:], floor).any()
+    assert _cells_clear(s, grid, rows[:1], rows[-1:], 0.02).all()
+
+
+def test_cells_whose_vertices_clear_send_no_row_to_eigvalsh(monkeypatch):
+    """At s = 7/32 every point of mermin π/120 is above −1. Every level-0 cell of
+    more than CELL_ROWS orbit rows clears at its vertices, so none of its rows
+    reaches certificate_eigenvalues, let alone eigvalsh: the pass evaluates
+    fewer than 4 % of the 87,296 points, vertices included, and eigensolves
+    none."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    evaluated, exact = [], selftest.certificate_eigenvalues
+    monkeypatch.setattr(selftest, "certificate_eigenvalues", lambda s, k, *rest, **floor: (
+        evaluated.append(len(k)) or exact(s, k, *rest, **floor)))
+    grid = open_grid(mermin_functional(), math.pi / 120)
+    sizes = _eigvalsh_batches(monkeypatch)
+    values = evaluate_grid(7 / 32, grid, floor=-1.0)
+    assert sizes == [] and np.isposinf(values).all()
+    assert 0 < sum(evaluated) < 0.04 * len(grid.indices)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
+def test_cells_keep_the_pointwise_screens_flags_at_pi_120(operator, monkeypatch):
+    """At π/120's seed slope, the pass with cells reads the bits of the pass
+    that screens every point alone wherever it is finite, and +∞ only where
+    that pass reads at least LAZY_MARGIN: both flag the same rows."""
+    selftest = importlib.import_module("ghzcert.selftest")
+    passes, exact = [], selftest.evaluate_grid
+    monkeypatch.setattr(selftest, "evaluate_grid", lambda s, grid, floor=-math.inf: (
+        passes.append((s, grid)) or exact(s, grid, floor)))
+    bound_search(get_functional(operator), grid_step=math.pi / 120)
+    [(seed, grid)] = passes
+    cells = exact(seed, grid, floor=LAZY_MARGIN)
+    points = grid.values(grid.indices,
+                         functools.partial(certificate_eigenvalues, floor=LAZY_MARGIN), seed)
+    kept = np.isfinite(cells)
+    assert 0 < kept.sum() < 0.1 * len(kept)
+    assert np.array_equal(cells[kept], points[kept])
+    assert (points[~kept] >= LAZY_MARGIN).all()
