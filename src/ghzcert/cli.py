@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ignored: the slope search is exact")
     p_bound.add_argument("--slack", type=float, default=DEFAULT_SLACK,
                          help="allowed eigenvalue slack for grid feasibility")
-    p_bound.add_argument("--refine", action="store_true",
-                         help="refine locally around the worst grid points")
     p_bound.add_argument("--threads", type=int, default=1,
                          help="ignored: the search runs in one thread (at least 1)")
     add_common(p_bound, seed=False)
@@ -159,7 +157,7 @@ def _cmd_bound(args) -> int:
         raise ValueError(f"threads must be at least 1, got {args.threads!r}")
     step, _ = snap_grid_step(args.grid_step)
     try:
-        result = bound_search(functional, grid_step=step, slack=args.slack, refine=args.refine)
+        result = bound_search(functional, grid_step=step, slack=args.slack)
     except BoundSearchError as exc:
         _emit(_json({"operator": functional.name, "error": str(exc)}), args.out)
         return 1
@@ -173,7 +171,6 @@ def _cmd_bound(args) -> int:
         "group_order": result.group_order,
         "worst_point": list(result.worst_point),
         "min_eig": result.min_eig,
-        "refined": args.refine,
     }
     _emit(_json(record), args.out)
     return 0

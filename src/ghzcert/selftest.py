@@ -21,11 +21,10 @@ for a matrix within about 1e-13 of the shifted X (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., Thm 10.3), so positive pivots
 prove λ_min(X) above the margin by more than eigvalsh's error. Such a point
 reads +∞; only the rest (2 of mermin π/24's 336) are eigensolved, to the bits
-of a full pass. Every pass, ``--refine``'s sub-grid too, evaluates a ``Grid``, a
-node angle table and node-index rows into it, in chunks of rows that gather
-their weights from the nodes' (``node_weights``). The caller takes every
-reduction (the largest threshold, the first minimum, the seeds to refine),
-with ties in grid order.
+of a full pass. Every pass evaluates a ``Grid``, one vector of node angles and
+node-index rows into it, in chunks of rows that gather their weights from the
+nodes' (``node_weights``). The caller takes every reduction (the largest
+threshold, the first minimum), with ties in grid order.
 
 A pass with a floor first clears whole cells, boxes of node indices that
 never straddle π/4 (``evaluate_grid``). With s and each party's branch fixed,
@@ -70,8 +69,7 @@ on an odd number of parties) gives one 16×16 block instead, and an imaginary
 part keeps complex dtype, so a file's functional loses no more than rounding.
 
 Grid certification is necessary-only evidence for the continuum inequality;
-results carry the worst grid point and its minimum eigenvalue, optionally
-lowered by a step/4 search around the 100 lowest grid points, so that status
+results carry the worst grid point and its minimum eigenvalue, so that status
 stays explicit.
 """
 
@@ -81,7 +79,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +125,7 @@ _HADAMARD = (X + Z).real / SQRT2
 
 #: the paper's table (slope, offset) pairs per operator. baccari and zhao pass
 #: the π/12 grid certificate, but baccari's fails off that grid: at
-#: (30.91°, 45°, 45°, 6.13°) its certificate's minimum eigenvalue is -1.85e-6.
+#: (30.909°, 6.126°, 45°, 45°) its certificate's minimum eigenvalue is -1.85e-6.
 #: mermin's 0.1875 provably cannot pass the π/12 grid certificate: at the
 #: Jordan point (0, π/4, π/4, π/4) a biseparable state reaches violation 4√2
 #: with extractability at most 1/2, which forces s ≥ (2+√2)/16 ≈ 0.2134
@@ -324,7 +322,8 @@ def _clears(blocks: np.ndarray, floor: float) -> np.ndarray:
         pivot = a[k, k].real - (floor + SCREEN_GAP)
         clear &= pivot > 0
         column = a[k + 1:, k]
-        a[k + 1:, k + 1:] -= column[:, None] * (column.conj() / np.where(clear, pivot, 1.0))
+        # a failed block divides by ∞ and stops changing: left to run, it overflows
+        a[k + 1:, k + 1:] -= column[:, None] * (column.conj() / np.where(clear, pivot, np.inf))
     return clear
 
 
@@ -596,14 +595,14 @@ def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
 def _map_rows(rows: np.ndarray, fn: Callable, head: tuple, k_nodes: np.ndarray,
               b_nodes: np.ndarray, functional: BellFunctional) -> np.ndarray:
     """``fn(*head, k_vectors, b_vectors, functional)`` at rows of indices into
-    (parties, nodes, 3) weight tables, in row order, in near-equal chunks of at most
+    (nodes, 3) weight tables, in row order, in near-equal chunks of at most
     max(SEARCH_CHUNK_ROWS, 3) rows, and of one row only when ``rows`` has one."""
-    parties, size = np.arange(rows.shape[1]), len(rows)
+    size = len(rows)
     if not size:
         return np.empty(0)
     chunks = max(1, min(-(-size // SEARCH_CHUNK_ROWS), size // 2))
     return np.concatenate([
-        fn(*head, k_nodes[parties, part], b_nodes[parties, part], functional)
+        fn(*head, k_nodes[part], b_nodes[part], functional)
         for part in (rows[i * size // chunks:(i + 1) * size // chunks] for i in range(chunks))
     ])
 
@@ -612,17 +611,17 @@ def _map_rows(rows: np.ndarray, fn: Callable, head: tuple, k_nodes: np.ndarray,
 class Grid:
     """A functional's Jordan-angle grid, with the map that evaluates it."""
 
-    angles: np.ndarray  # (parties, k) node table: row r's party p is at angles[p, r[p]]
+    nodes: np.ndarray  # node angles, every party's: row r's party p is at nodes[r[p]]
     indices: np.ndarray  # (points, parties) node-index rows, in grid order
     functional: BellFunctional
 
     def point(self, row: np.ndarray) -> tuple[float, ...]:
         """The Jordan angles of node-index ``row``, one per party."""
-        return tuple(float(a) for a in self.angles[np.arange(len(row)), row])
+        return tuple(float(a) for a in self.nodes[row])
 
     def values(self, rows: np.ndarray, fn: Callable, *head) -> np.ndarray:
         """:func:`_map_rows` at node-index ``rows``, whose chunks keep each point's bits."""
-        return _map_rows(rows, fn, head, *node_weights(self.angles), self.functional)
+        return _map_rows(rows, fn, head, *node_weights(self.nodes), self.functional)
 
 
 def open_grid(functional: BellFunctional, grid_step: float) -> Grid:
@@ -632,11 +631,11 @@ def open_grid(functional: BellFunctional, grid_step: float) -> Grid:
     has the threshold and certificate spectrum of its orbit's point, so every
     extremum over the grid is the product's.
     """
-    angles = np.tile(angle_nodes(grid_step), (functional.parties, 1))
-    rows, key = _orbit_rows(angles.shape[1], symmetry_group(functional)), 0
+    nodes = angle_nodes(grid_step)
+    rows, key = _orbit_rows(len(nodes), symmetry_group(functional)), 0
     for column in rows.T:  # one sort key: np.lexsort took 137 of 175 ms at zhao π/120
-        key = key * angles.shape[1] + column.astype(np.int64)
-    return Grid(angles, rows[np.argsort(key, kind="stable")], functional)
+        key = key * len(nodes) + column.astype(np.int64)
+    return Grid(nodes, rows[np.argsort(key, kind="stable")], functional)
 
 
 def _seed_step(intervals: int) -> int:
@@ -648,15 +647,17 @@ def _cells_clear(s: float, grid: Grid, lo: np.ndarray, hi: np.ndarray, floor: fl
     """Whether :func:`certificate_eigenvalues` at ``floor`` reads +∞ at every vertex
     combination of each cell, the box from node-index row ``lo`` to ``hi``."""
     n = lo.shape[1]
-    a, b = (grid.angles[np.arange(n), ends] for ends in (lo, hi))
+    a, b = grid.nodes[lo], grid.nodes[hi]
     angles, ones = np.stack([a, b, (a + b) / 2.0], axis=-1), np.ones_like(a)
     radius = np.stack([ones, ones, 1.0 / np.cos((b - a) / 2.0)], axis=-1)
-    plus = (hi <= (grid.angles.shape[1] - 1) // 2)[..., None]
+    plus = (hi <= (len(grid.nodes) - 1) // 2)[..., None]
     weights = plane_weights(radius * np.cos(angles), radius * np.sin(angles), plus)
-    rows = 3 * np.arange(len(lo))[:, None, None] + np.indices((3,) * n).reshape(n, -1).T
+    # vertex v of cell c's party p is row 3·(c·n + p) + v of the flat weight tables
+    rows = (3 * (n * np.arange(len(lo))[:, None, None] + np.arange(n))
+            + np.indices((3,) * n).reshape(n, -1).T)
     screen = functools.partial(certificate_eigenvalues, floor=floor)
     values = _map_rows(rows.reshape(-1, n), screen, (s,),
-                       *(w.swapaxes(0, 1).reshape(n, -1, 3) for w in weights), grid.functional)
+                       *(w.reshape(-1, 3) for w in weights), grid.functional)
     return np.isposinf(values).reshape(len(lo), 3**n).all(axis=1)
 
 
@@ -671,7 +672,7 @@ def evaluate_grid(s: float, grid: Grid, floor: float = -math.inf) -> np.ndarray:
     """
     if floor == -math.inf:
         return grid.values(grid.indices, certificate_eigenvalues, s)
-    intervals = grid.angles.shape[1] - 1
+    intervals = len(grid.nodes) - 1
     parts, parties = intervals // _seed_step(intervals), grid.indices.shape[1]
     lo, width, cell = np.zeros((1, parties), int), np.full((1, parties), intervals), 0
     rows, at, screened = grid.indices, np.arange(len(grid.indices)), []
@@ -709,18 +710,6 @@ class BoundSearchResult:
     min_eig: float
 
 
-def _refine_grid(grid: Grid, seeds: np.ndarray, grid_step: float) -> Grid:
-    """The 5ⁿ sub-grid at step/4 around each seed node-index row, clipped to
-    [0, π/2]: seed i's party p has nodes 5i to 5i + 4, and its rows, 5i + every
-    local index tuple in lexicographic order, follow i − 1's."""
-    offsets = np.arange(-2, 3) * (grid_step / 4.0)
-    seed_count, parties = seeds.shape
-    angles = np.clip(grid.angles[np.arange(parties), seeds][..., None] + offsets, 0.0, HALF_PI)
-    local = np.indices((len(offsets),) * parties).reshape(parties, -1).T
-    rows = (len(offsets) * np.arange(seed_count)[:, None, None] + local).reshape(-1, parties)
-    return replace(grid, angles=angles.transpose(1, 0, 2).reshape(parties, -1), indices=rows)
-
-
 def _feasible(s: float) -> float:
     """s, or BoundSearchError when it exceeds 1 (∞ marks a kernel leak)."""
     if not s <= 1.0:
@@ -734,7 +723,6 @@ def bound_search(
     functional: BellFunctional,
     grid_step: float = DEFAULT_GRID_STEP,
     slack: float = DEFAULT_SLACK,
-    refine: bool = False,
 ) -> BoundSearchResult:
     """Smallest slope s passing the grid certificate, the largest threshold
     (:func:`slope_thresholds`) on the grid, found with one certificate pass.
@@ -747,19 +735,15 @@ def bound_search(
     least the margin. So s is the largest of s₀ and the flagged thresholds,
     and the minimum, which must stay above −``slack``, and the worst point
     (the first in grid order among ties) come from the flagged points at s;
-    μ is 1 − s·β_Q. With ``refine``, step/4 sub-grids around the 100 lowest
-    grid points at s may lower the minimum and move the worst point. A pass
-    at the floor F = (4·step)² finds those points when its 100th lowest value
-    is below F, as each point it clears is above F, else a pass with no floor
-    does; the sub-grid is screened at the minimum so far. Raises
-    :class:`BoundSearchError` when s₀ or s exceeds 1, which signals a wrong
-    channel family or functional, when s fails the check or nothing is
-    flagged, and ValueError for a ``slack`` that is negative or not finite.
+    μ is 1 − s·β_Q. Raises :class:`BoundSearchError` when s₀ or s exceeds 1,
+    which signals a wrong channel family or functional, when s fails the check
+    or nothing is flagged, and ValueError for a ``slack`` that is negative or
+    not finite.
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
     grid = open_grid(functional, grid_step)
-    nested = grid.indices[(grid.indices % _seed_step(grid.angles.shape[1] - 1) == 0).all(axis=1)]
+    nested = grid.indices[(grid.indices % _seed_step(len(grid.nodes) - 1) == 0).all(axis=1)]
     s = _feasible(float(grid.values(nested, slope_thresholds).max()))
     flagged = np.flatnonzero(evaluate_grid(s, grid, floor=LAZY_MARGIN) < LAZY_MARGIN)
     if not len(flagged):
@@ -774,20 +758,8 @@ def bound_search(
             f"threshold slope {s!r} fails the grid certificate "
             f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
         )
-    worst = grid.point(grid.indices[worst_row])
-    if refine:
-        floor = (4.0 * grid_step) ** 2
-        values = evaluate_grid(s, grid, floor)
-        lowest = np.argsort(values, kind="stable")[:100]
-        if not values[lowest[-1]] < floor:
-            lowest = np.argsort(evaluate_grid(s, grid), kind="stable")[:100]
-        sub = _refine_grid(grid, grid.indices[lowest], grid_step)
-        local = sub.values(sub.indices,
-                           functools.partial(certificate_eigenvalues, floor=min_eig), s)
-        if local.min() < min_eig:
-            min_eig = float(local.min())
-            worst = sub.point(sub.indices[np.argmin(local)])
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=len(grid.indices),
-        group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,
+        group_order=symmetry_group(functional).order,
+        worst_point=grid.point(grid.indices[worst_row]), min_eig=min_eig,
     )

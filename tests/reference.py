@@ -12,11 +12,11 @@ bisection on η and the integer scan for N invert the confidence bound a
 second way, against the package's closed-form inversion. The full product
 grid and every group element's image of a grid row check the grid that
 keeps one point per symmetry orbit, and the two-pass search (every
-threshold, then a full certificate pass, and every refine seed's points built
-here) checks the lazy one. ``solve_conjugator`` finds the unitary that proves
-a symmetry candidate from the table entries alone, by linear algebra, where
-the package builds an explicit local Clifford, and ``corner_threshold`` gives
-the threshold at a corner of the grid from diagonal entries, one at a time.
+threshold, then a full certificate pass) checks the lazy one.
+``solve_conjugator`` finds the unitary that proves a symmetry candidate from
+the table entries alone, by linear algebra, where the package builds an
+explicit local Clifford, and ``corner_threshold`` gives the threshold at a
+corner of the grid from diagonal entries, one at a time.
 The violation at
 arbitrary settings, the density-matrix check, the exhaustive classical bound,
 the functional writer and the event-file writer serve the tests alone; no
@@ -157,14 +157,13 @@ def _evaluate(s: float, functional: BellFunctional, step: float):
     return evaluate_grid(s, open_grid(functional, step))
 
 
-def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: float = 1e-9,
-                          refine: bool = False) -> BoundSearchResult:
+def two_pass_bound_search(functional: BellFunctional, grid_step: float,
+                          slack: float = 1e-9) -> BoundSearchResult:
     """The bound search as two full passes, in one process: every grid point's
     threshold, then the certificate minimum of every grid point at their
-    maximum, whose least value and first worst point are the result;
-    ``refine`` as in ``bound_search``, one batch per seed. Both passes take the
-    grid in consecutive chunks of SEARCH_CHUNK_ROWS points, the last one
-    shorter."""
+    maximum, whose least value and first worst point are the result. Both
+    passes take the grid in consecutive chunks of SEARCH_CHUNK_ROWS points,
+    the last one shorter."""
     grid = open_grid(functional, grid_step)
     size = len(grid.indices)
     nodes = angle_nodes(grid_step)
@@ -185,16 +184,6 @@ def two_pass_bound_search(functional: BellFunctional, grid_step: float, slack: f
             f"(minimum eigenvalue {min_eig!r} below -{slack!r})"
         )
     worst = tuple(float(a) for a in nodes[grid.indices[worst_row]])
-    if refine:
-        offsets = np.arange(-2, 3) * (grid_step / 4.0)
-        local = np.indices((5,) * 4).reshape(4, -1).T
-        for seed in grid.indices[np.argsort(values, kind="stable")[:100]]:
-            sub = np.clip(nodes[seed][:, None] + offsets, 0.0, HALF_PI)  # (4, 5)
-            points = sub[np.arange(4), local]  # (625, 4)
-            seed_values = certificate_eigenvalues(s, *node_weights(points), functional)
-            row = int(np.argmin(seed_values))
-            if seed_values[row] < min_eig:
-                min_eig, worst = float(seed_values[row]), tuple(map(float, points[row]))
     return BoundSearchResult(
         bound=SelfTestBound.from_slope(s, functional), points=size,
         group_order=symmetry_group(functional).order, worst_point=worst, min_eig=min_eig,

@@ -314,27 +314,13 @@ def test_bound_smoke_grid_record(capsys):
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["operator", "s", "mu", "c", "grid_step", "points", "group_order",
-                         "worst_point", "min_eig", "refined"]
+                         "worst_point", "min_eig"]
     assert (doc["points"], doc["group_order"]) == (20, 192)
     assert doc["mu"] == pytest.approx(1 - 8 * doc["s"], abs=1e-12)
     assert len(doc["worst_point"]) == 4
-    assert doc["refined"] is False
-
-
-def test_bound_refine_keeps_slope_and_lowers_minimum(capsys):
-    """``--refine`` adds a local sub-grid search around the worst grid points:
-    same keys and slope as the plain run, a minimum no higher, a point on the box."""
-    argv = ["bound", "--operator", "mermin", "--grid-step", repr(math.pi / 8)]
-    _, plain_out = run_cli(argv, capsys)
-    code, out = run_cli(argv + ["--refine"], capsys)
-    assert code == 0
-    plain, refined = json.loads(plain_out), json.loads(out)
-    assert list(refined) == list(plain)
-    assert refined["refined"] is True
-    assert refined["s"] == plain["s"]
-    assert len(refined["worst_point"]) == 4
-    assert all(0.0 <= a <= math.pi / 2 for a in refined["worst_point"])
-    assert refined["min_eig"] <= plain["min_eig"]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["bound", "--operator", "mermin", "--refine"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_bound_accepts_functional_file(tmp_path, capsys):
@@ -350,16 +336,14 @@ def test_bound_accepts_functional_file(tmp_path, capsys):
 
 
 def test_bound_threads_do_not_change_output(capsys):
-    """--threads is validated and ignored: stdout is the same for 1, 2 and 3,
-    with and without --refine. baccari π/24's flagged points raise the slope
-    above its seed's."""
+    """--threads is validated and ignored: stdout is the same for 1, 2 and 3.
+    baccari π/24's flagged points raise the slope above its seed's."""
     for operator, pi_over in (("mermin", 8), ("mermin", 24), ("zhao", 12), ("baccari", 24)):
         argv = ["bound", "--operator", operator, "--grid-step", repr(math.pi / pi_over),
                 "--s-tol", "1e-2"]
-        for refine in ([], ["--refine"]):
-            one, two, three = (run_cli(argv + refine + ["--threads", str(threads)], capsys)[1]
-                               for threads in (1, 2, 3))
-            assert one == two == three
+        one, two, three = (run_cli(argv + ["--threads", str(threads)], capsys)[1]
+                           for threads in (1, 2, 3))
+        assert one == two == three
 
 
 def test_simulate_writes_transcript(tmp_path, capsys):

@@ -2,10 +2,10 @@
 
 The SHA-256 digests below are of the outputs of ``simulate`` (transcript file
 and stdout) for each source, of ``replay`` (stdout) in both modes, and of
-``bound`` (stdout) on seven operator grids with and without ``--refine``; at
-π/60 the lazy pass clears whole grid cells at their vertices. Any change to
-a random draw, to a round's score, to the transcript format, to a
-certificate's bits or to the JSON summaries changes a digest.
+``bound`` (stdout) on seven operator grids; at π/60 the lazy pass clears whole
+grid cells at their vertices. Any change to a random draw, to a round's score,
+to the transcript format, to a certificate's bits or to the JSON summaries
+changes a digest.
 """
 
 import hashlib
@@ -40,22 +40,15 @@ REPLAY_GOLDEN = {
     "decomposed": "2aecb4429bb7365389556704d5bbcb504aad4b91e9136d2d543725065e9a579c",
 }
 
-# (operator, pi/step, --refine) -> stdout digest, the same for --threads 1 and 2
+# (operator, pi/step) -> stdout digest, the same for --threads 1 and 2
 BOUND_GOLDEN = {
-    ("mermin", 24, False): "93e4a49c48610236e2378af0a95b440517e3e92233d0760bc871e8b35f5a5f3a",
-    ("mermin", 24, True): "783382654b36bce1b4e827e6e0bd1d0aeb062ce1e7fa2a17239a21e68f0cb8de",
-    ("baccari", 12, False): "1f965ad3eb2b6e994e23c7669f4d52729a250631ef2f21d99e667227df5e2819",
-    ("baccari", 12, True): "365f792f9ba73562bca69cc6ea783fb56e49239d708193837f7d3f989dbf4910",
-    ("baccari", 24, False): "79476cf7085d8e21dd39ecaceaa5e84bee735a5930fdb8061ef1abca1aaa6035",
-    ("baccari", 24, True): "3de65e42186d2353d7ce59ba33becd268319204a48bb3d09dde3de317a8322e1",
-    ("zhao", 12, False): "ff32f9d12957b03db6e53586bb85e299bdbc0e84a8a691939ce02e9cee4721bb",
-    ("zhao", 12, True): "0d28c2edecad1ab954ead71a676c9d968f0de49ab2d33b84dc07d71a32882430",
-    ("mermin", 60, False): "d817dddc152d72b5b92526115baa2c97e9d04c6e092bd813a895c21a25f2f4be",
-    ("mermin", 60, True): "091fff5077c4891bdebdaf39e6be2512b45a5fb3ce71030e0fd65c55e3216a32",
-    ("baccari", 60, False): "03d7667d8d0887bb727b0cdea0c4b3b445820fae92fd9c56e60cb6a4ae53395c",
-    ("baccari", 60, True): "ffdd96f09dae547fdc47380abdad1e4433e6ee48edcbc0abb897e2cab04cb083",
-    ("zhao", 60, False): "becfca9bf3e7fb5a35446a92626476fbf4c7979d2b17dd78ffba84ceb5e4b149",
-    ("zhao", 60, True): "e602851b6b1cc247575e5ca1da4ba805bbd69008c8f3bc2b7e3233acd06276a5",
+    ("mermin", 24): "296f43a7aa392214b35135436acb5b9fe9759119f3a49d35f0cfa93f778781f4",
+    ("baccari", 12): "ee59b4ab6e52443f7cf23079c42e21ef6dda514716e8693e3a71cbd109ffef29",
+    ("baccari", 24): "49be1461a65c33a3ab6b0369663e3e85db884b8a060626a03c994bb081d85cff",
+    ("zhao", 12): "8ccc83f374b0a540383dedf2d0e487b579060f3cf937b5b4d95167ee9f6e8c49",
+    ("mermin", 60): "489438ef2ba7112eed6bb0588cd7c24babf49b077c17b10f4365e5bc010b33c9",
+    ("baccari", 60): "d0d2949f2258bce1f2a5e30f93aca6e2e0956d8ee52a4edfd0f84ce3d80d9eb0",
+    ("zhao", 60): "91fff53c8992135aa6b831e8deba3458e320447957b01b0baeaa3ee061bb9677",
 }
 
 
@@ -98,9 +91,9 @@ def test_replay_bytes_are_pinned(mode, tmp_path, capsys):
     assert _sha256(capsys.readouterr().out) == REPLAY_GOLDEN[mode]
 
 
-@pytest.mark.parametrize("operator, pi_over, refine", sorted(BOUND_GOLDEN))
-def test_bound_bytes_are_pinned(operator, pi_over, refine, capsys):
+@pytest.mark.parametrize("operator, pi_over", sorted(BOUND_GOLDEN))
+def test_bound_bytes_are_pinned(operator, pi_over, capsys):
     argv = ["bound", "--operator", operator, "--grid-step", repr(math.pi / pi_over)]
     for threads in ("1", "2"):
-        dispatch([*argv, "--threads", threads, *(["--refine"] if refine else [])])
-        assert _sha256(capsys.readouterr().out) == BOUND_GOLDEN[operator, pi_over, refine]
+        dispatch([*argv, "--threads", threads])
+        assert _sha256(capsys.readouterr().out) == BOUND_GOLDEN[operator, pi_over]

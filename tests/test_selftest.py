@@ -21,6 +21,7 @@ from ghzcert.bell import (
 from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
 from ghzcert.selftest import (
     CELL_ROWS,
+    DEFAULT_SLACK,
     LAZY_MARGIN,
     PROOF_TOL,
     SCREEN_GAP,
@@ -483,9 +484,9 @@ def test_gathered_node_weights_equal_weights_at_the_points():
     """A task's points take their weights from the node tables: the same bits
     as the weights computed at each point's angles, on baccari's π/60 grid."""
     grid = open_grid(baccari_functional(), math.pi / 60)
-    parties, rows = np.arange(4), grid.indices
-    gathered = [w[parties, rows] for w in node_weights(grid.angles)]
-    direct = node_weights(grid.angles[parties, rows])
+    rows = grid.indices
+    gathered = [w[rows] for w in node_weights(grid.nodes)]
+    direct = node_weights(grid.nodes[rows])
     for a, b in zip(gathered, direct):
         assert a.shape == (len(rows), 4, 3)
         assert np.array_equal(a, b)
@@ -531,7 +532,7 @@ def test_open_grid_sizes(operator, pi_over, size):
     sorted tuples for mermin, whose parties are all interchangeable."""
     f = get_functional(operator)
     grid = open_grid(f, math.pi / pi_over)
-    rows, n = grid.indices, grid.angles.shape[1]
+    rows, n = grid.indices, len(grid.nodes)
     group = symmetry_group(f)
     images = group_images(rows, group, n)
     keys = np.sort(images @ n ** np.arange(4), axis=1)
@@ -561,7 +562,7 @@ def test_every_product_point_maps_into_the_grid(operator):
     """At π/12, some element maps each of the 7⁴ product points onto a grid row."""
     f = get_functional(operator)
     grid = open_grid(f, math.pi / 12)
-    rows, n = grid.indices, grid.angles.shape[1]
+    rows, n = grid.indices, len(grid.nodes)
     product = np.indices((n,) * 4).reshape(4, -1).T
     keys = group_images(product, symmetry_group(f), n) @ n ** np.arange(4)
     assert np.isin(keys, rows @ n ** np.arange(4)).any(axis=1).all()
@@ -656,12 +657,18 @@ def test_bound_search_coarse_grid():
     assert result.min_eig >= -1e-9
 
 
-def test_bound_search_refinement_reports_lower_minimum():
-    f = mermin_functional()
-    plain = bound_search(f, grid_step=math.pi / 8)
-    refined = bound_search(f, grid_step=math.pi / 8, refine=True)
-    assert refined.bound.s == plain.bound.s
-    assert refined.min_eig <= plain.min_eig + 1e-15
+def test_baccari_grid_slopes_fail_off_the_grid():
+    """baccari's slope is interior: at (30.909°, 6.126°, 45°, 45°), off every
+    grid, the certificate at each grid slope from π/12 to π/120 reads below
+    −1e-5 while the grid's own minimum passes, and at the published 0.4897 it
+    reads −1.85e-6 (``ROBUSTNESS_CONSTANTS``)."""
+    f = baccari_functional()
+    point = node_weights(np.radians([[30.909, 6.126, 45.0, 45.0]]))
+    for pi_over in (12, 24, 60, 120):
+        result = bound_search(f, grid_step=math.pi / pi_over)
+        assert result.min_eig > -DEFAULT_SLACK
+        assert certificate_eigenvalues(result.bound.s, *point, f)[0] < -1e-5
+    assert certificate_eigenvalues(0.4897, *point, f)[0] == pytest.approx(-1.85e-6, abs=1e-8)
 
 
 def _threshold(angles, functional):
@@ -795,23 +802,6 @@ def test_lazy_search_matches_two_pass_search(operator, pi_over):
     assert bound_search(f, grid_step=step) == two_pass_bound_search(f, step)
 
 
-@pytest.mark.parametrize("operator, pi_over", [("baccari", 12), ("baccari", 24)])
-def test_lazy_refine_matches_two_pass_search(operator, pi_over, monkeypatch):
-    """--refine seeds from the 100 lowest minima at s, as the full pass at s
-    orders them: at baccari's seed slopes, below s, 2 (π/12) and 16 (π/24) of
-    the 100 would differ."""
-    selftest = importlib.import_module("ghzcert.selftest")
-    seeds, exact = [], selftest._refine_grid
-    monkeypatch.setattr(selftest, "_refine_grid",
-                        lambda grid, rows, step: seeds.append(rows) or exact(grid, rows, step))
-    f = get_functional(operator)
-    step = math.pi / pi_over
-    lazy = bound_search(f, grid_step=step, refine=True)
-    assert lazy == two_pass_bound_search(f, step, refine=True)
-    lowest = np.argsort(_evaluate(lazy.bound.s, f, step), kind="stable")[:100]
-    assert np.array_equal(seeds[0], open_grid(f, step).indices[lowest])
-
-
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
 @pytest.mark.parametrize("pi_over", [12, 24])
 def test_larger_lazy_margin_changes_nothing(operator, pi_over, monkeypatch):
@@ -873,23 +863,26 @@ def test_search_with_no_flagged_point_raises(monkeypatch):
 
 @pytest.mark.parametrize("name, pi_over", [
     *itertools.product(("mermin", "baccari", "zhao"), (12, 24, 60)), ("odd body", 12),
-    pytest.param("odd body", 60, marks=pytest.mark.slow),
-    pytest.param("rotated mermin", 60, marks=pytest.mark.slow),
+    pytest.param("odd body", 36, marks=pytest.mark.slow),
+    pytest.param("rotated mermin", 36, marks=pytest.mark.slow),
 ])
 def test_screen_keeps_the_bits_of_every_point_it_does_not_clear(name, pi_over, monkeypatch):
     """At the seed slope s₀ of the lazy pass and at s₀ ± 1e-3, a screened pass
     reads the unscreened bits wherever it is finite, and +∞ only where the
-    unscreened minimum is at least LAZY_MARGIN. At π/60 the screen clears whole
-    cells. rotated mermin's seed rows include a kernel leak, an infinite
-    threshold, so its search stops before the pass; its screen is checked at
-    the largest finite seed threshold."""
+    unscreened minimum is at least LAZY_MARGIN. From π/36 on the screen clears
+    whole cells, and rotated mermin's passes also split one. rotated mermin's
+    seed rows include a kernel leak, an infinite threshold, so its search
+    stops before the pass; its screen is checked at the largest finite seed
+    threshold."""
     selftest = importlib.import_module("ghzcert.selftest")
-    passes, exact = [], selftest.evaluate_grid
+    passes, exact, cells, exact_cells = [], selftest.evaluate_grid, [], selftest._cells_clear
     monkeypatch.setattr(selftest, "evaluate_grid", lambda s, grid, floor=-math.inf: (
         passes.append((s, floor)) or exact(s, grid, floor)))
+    monkeypatch.setattr(selftest, "_cells_clear", lambda *args: (
+        cells.append(exact_cells(*args)) or cells[-1]))
     f = ORACLE_FUNCTIONALS[name]()
     grid = open_grid(f, math.pi / pi_over)
-    nested = grid.indices[(grid.indices % _seed_step(grid.angles.shape[1] - 1) == 0).all(axis=1)]
+    nested = grid.indices[(grid.indices % _seed_step(len(grid.nodes) - 1) == 0).all(axis=1)]
     thresholds = grid.values(nested, slope_thresholds)
     seed = float(thresholds[np.isfinite(thresholds)].max())
     if seed == thresholds.max():
@@ -901,6 +894,9 @@ def test_screen_keeps_the_bits_of_every_point_it_does_not_clear(name, pi_over, m
         assert not kept.all() and (kept.any() or s > seed)
         assert np.array_equal(screened[kept], plain[kept])
         assert (plain[~kept] >= LAZY_MARGIN).all()
+    if pi_over >= 36:  # a level-0 cell holds more than CELL_ROWS orbit rows
+        checked = np.concatenate([np.zeros(0, bool), *cells])
+        assert checked.any() and (name != "rotated mermin" or not checked.all())
 
 
 @pytest.mark.parametrize("d", [8, 16])
@@ -908,7 +904,10 @@ def test_screen_keeps_the_bits_of_every_point_it_does_not_clear(name, pi_over, m
 @pytest.mark.parametrize("floor", [LAZY_MARGIN, 0.0, -0.5])
 def test_screen_clears_only_blocks_past_the_gap(d, dtype, floor):
     """Q·diag(λ)·Q† with the rest of λ up to 20: a block is never cleared with
-    λ_min at or within half the gap of the floor, and is cleared at ten gaps."""
+    λ_min at or within half the gap of the floor, and is cleared at ten gaps.
+    A block of 300s whose first pivot fails is not cleared and raises no
+    overflow: eliminating past a failed pivot would square its entries at
+    every step."""
     rng = np.random.default_rng(d)
 
     def blocks(offset, n=200):
@@ -921,6 +920,10 @@ def test_screen_clears_only_blocks_past_the_gap(d, dtype, floor):
     for offset in (-1e-12, 0.0, 1e-12, SCREEN_GAP / 2):
         assert not _clears(blocks(offset), floor).any()
     assert _clears(blocks(10 * SCREEN_GAP), floor).all()
+    failed = np.full((1, d, d), 300.0, dtype)
+    failed[0, 0, 0] = floor - 1.0
+    stack = _clears(np.concatenate([failed, blocks(10 * SCREEN_GAP)]), floor)
+    assert not stack[0] and stack[1:].all()
 
 
 def _eigvalsh_batches(monkeypatch):
