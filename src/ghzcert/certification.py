@@ -196,9 +196,9 @@ def noisy_pass_rate(operator: str, alpha: float) -> float:
 
 
 DEFAULT_ALPHA_GRID = np.round(np.arange(0, 0.3001, 0.0025), 10)
-DEFAULT_N_GRID = np.unique(
-    np.round(np.logspace(math.log10(2), 6, 241)).astype(int)
-)
+DEFAULT_N_GRID = np.round(np.logspace(math.log10(2), 6, 241)).astype(int)
+# its distinct values, kept by comparing neighbours: np.unique would import numpy.ma
+DEFAULT_N_GRID = DEFAULT_N_GRID[np.r_[True, DEFAULT_N_GRID[1:] != DEFAULT_N_GRID[:-1]]]
 
 SWEEP_FIGURES = ("left", "middle", "right", "fig4")
 

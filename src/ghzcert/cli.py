@@ -10,11 +10,15 @@ Exit status: 0 success, 1 infeasible certification or failed bound search
 on stdout for values the argument parser cannot check and for input files
 that cannot be read). JSON output is strict: undefined values are ``null``,
 never NaN.
+
+``dispatch`` parses with one parser, built on its first call and kept for the
+process; ``build_parser`` returns a new one on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,6 +75,7 @@ def _csv(rows) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``ghzcert`` command line."""
     parser = argparse.ArgumentParser(
         prog="ghzcert",
         description="Sample-efficient device-independent GHZ state certification toolkit.",
@@ -146,6 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_replay)
 
     return parser
+
+
+_shared_parser = functools.cache(build_parser)
 
 
 def _cmd_bound(args) -> int:
@@ -261,7 +269,8 @@ _COMMANDS = {
 
 
 def dispatch(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; its exit status. The parser is built once per process."""
+    args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:  # inputs the parser cannot check

@@ -557,7 +557,9 @@ def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
     elements that fix f permute and reflect the sides, so an orbit's rows with
     this f are one side orbit; the row kept has its side mask (party 1 the most
     significant bit) the smallest in that orbit. Which elements fix f depends
-    only on which folds are the middle and which are equal within a class.
+    only on which folds are the middle and which are equal within a class, so
+    the kept side masks of every such pattern are computed at once, from the
+    masks of every element's image of every side.
     """
     parties = sum(map(len, group.classes))
     middle = n_nodes // 2
@@ -576,20 +578,22 @@ def _orbit_rows(n_nodes: int, group: SymmetryGroup) -> np.ndarray:
     codes = flags @ (1 << np.arange(flags.shape[1]))
     order = np.argsort(codes, kind="stable")
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    perms, flips = group.perms, group.flips
+    del flags, codes
+    firsts = folds[order[starts]]  # one fold per pattern: (patterns, parties)
+    middles = firsts == middle
+    fixing = (firsts[:, group.perms] == firsts[:, None, :]).all(axis=2)  # (patterns, order)
     sides = _binary(np.arange(2**parties), parties).astype(bool)
-    rows = []
-    for members in np.split(order, starts[1:]):
-        fold = folds[members[0]]
-        middles = fold == middle
-        fixing = (fold[perms] == fold).all(axis=1)
-        side = sides[~(sides & middles).any(axis=1)]
-        moved = side[:, None, :] ^ flips[None, fixing]
-        images = np.take_along_axis(moved, np.argsort(perms[fixing], axis=1)[None], axis=2)
-        keep = side[_from_binary(side) == _from_binary(images & ~middles).min(axis=1)]
+    # the side mask of each element's image of each side: (sides, order)
+    images = ((sides[:, None, :] ^ group.flips) << (parties - 1 - group.perms)).sum(axis=2)
+    least = (images & _from_binary(~middles)[:, None, None]).min(
+        axis=2, where=fixing[:, None, :], initial=2**parties)
+    keep = ~(sides & middles[:, None, :]).any(axis=2) & (_from_binary(sides) == least)
+    sizes = np.diff(starts, append=len(order)) * keep.sum(axis=1)
+    rows = np.empty((sizes.sum(), parties), dtype=folds.dtype)
+    for members, kept, end, size in zip(np.split(order, starts[1:]), keep, sizes.cumsum(), sizes):
         f = folds[members][:, None, :]
-        rows.append(np.where(keep, n_nodes - 1 - f, f).reshape(-1, parties))
-    return np.concatenate(rows)
+        rows[end - size:end] = np.where(sides[kept], n_nodes - 1 - f, f).reshape(-1, parties)
+    return rows
 
 
 def _map_rows(rows: np.ndarray, fn: Callable, head: tuple, k_nodes: np.ndarray,

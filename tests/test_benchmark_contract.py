@@ -1,9 +1,9 @@
 """The benchmark under perfbench/ still imports, runs and accepts this package.
 
 perfbench drives the CLI and checks every output; these tests run its
-self-check, one replay pass and both protocol calls, so that a change
-breaking the benchmark's imports or checks fails here before a benchmark
-run.
+self-check, one pass each of the bound and replay workloads and both
+protocol calls, so that a change breaking the benchmark's imports or checks
+fails here before a benchmark run.
 """
 
 import json
@@ -46,6 +46,19 @@ def test_replay_workload_outputs_pass_their_checks(tmp_path, capsys, monkeypatch
         record = {"argv": argv, "code": code, "stdout": capsys.readouterr().out, "error": None}
         assert call.check(record) == [], argv
         prev = record
+
+
+def test_bound_workload_outputs_pass_their_checks(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    load = workloads.bound_workload(1, 2)
+    assert len(load.calls) == 2
+    for call in load.calls:
+        code = dispatch(call.argv)
+        record = {"argv": call.argv, "code": code, "stdout": capsys.readouterr().out,
+                  "error": None}
+        assert call.check(record) == [], call.argv
 
 
 def _protocol_call_problems(source, tmp_path, capsys, monkeypatch):

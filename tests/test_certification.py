@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghzcert.certification import (
+    DEFAULT_N_GRID,
     CertificationQuery,
     confidence_bound,
     kl,
@@ -24,6 +25,13 @@ def _mermin_query(n, delta, pass_rate):
         n=n, delta=delta, pass_rate=pass_rate, bound=bound, p_qm=game.p_qm,
         mu_meas=(n - 1) / n,
     )
+
+
+def test_default_n_grid_is_the_distinct_rounded_sizes():
+    """Comparing neighbours keeps what ``np.unique`` keeps of the increasing grid."""
+    rounded = np.round(np.logspace(math.log10(2), 6, 241)).astype(int)
+    assert np.array_equal(DEFAULT_N_GRID, np.unique(rounded))
+    assert len(DEFAULT_N_GRID) == 217
 
 
 def test_kl_zero_at_equal_arguments():

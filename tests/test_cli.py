@@ -270,6 +270,49 @@ def test_every_subcommand_has_help(argv):
     assert exc.value.code == 0
 
 
+def test_shared_parser_gives_each_dispatch_the_same_result(capsys):
+    """``dispatch`` keeps one parser for the process: a rejected argv, a
+    ``--help`` and runs with non-default flags leave nothing behind, and
+    ``build_parser`` still returns a new parser on each call."""
+    argv = ["certify", "--n", "4643", "--delta", "0.01", "--pass-rate", "0.973"]
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0
+
+    def rejected():
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv + ["--operator", "chsh"])
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+    def helped():
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["certify", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+
+    def other_flags():
+        for other in (["certify", "--n", "500", "--delta", "0.05", "--pass-rate", "0.99",
+                       "--operator", "zhao", "--mu-meas", "0.5"],
+                      ["sweep", "--figure", "fig4", "--pass-rate", "0.97",
+                       "--operator", "baccari", "--delta", "0.05", "--eta", "0.3"]):
+            assert run_cli(other, capsys)[0] in (0, 1)
+
+    for step in (rejected, helped, other_flags):
+        step()
+        assert run_cli(argv, capsys) == expected
+    assert build_parser() is not build_parser()
+
+
+def test_cli_import_loads_neither_numpy_ma_nor_concurrent_futures():
+    """Importing the CLI and building its parser loads neither module."""
+    package_root = str(Path(ghzcert.__file__).resolve().parents[1])
+    code = ("import sys; import ghzcert.cli; ghzcert.cli.build_parser(); "
+            "print(sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 def test_byte_identical_output(capsys):
     argv = ["certify", "--n", "4643", "--delta", "0.01", "--pass-rate", "0.973"]
     _, first = run_cli(argv, capsys)

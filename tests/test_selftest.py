@@ -568,6 +568,25 @@ def test_every_product_point_maps_into_the_grid(operator):
     assert np.isin(keys, rows @ n ** np.arange(4)).any(axis=1).all()
 
 
+@pytest.mark.parametrize("name, pi_over", [
+    *itertools.product(("mermin", "baccari", "zhao"), (12, 24)),
+    ("odd body", 12), ("rotated mermin", 12),
+])
+def test_grid_rows_are_the_lexicographic_minima_of_the_orbits(name, pi_over):
+    """Each grid row is its orbit's lexicographically smallest node-index row,
+    the one ``worst_point`` prints: the grid is the sorted minima of the group
+    images of the whole product, taken in chunks of 2,000 points."""
+    f = ORACLE_FUNCTIONALS[name]()
+    grid = open_grid(f, math.pi / pi_over)
+    n, group = len(grid.nodes), symmetry_group(f)
+    product = np.indices((n,) * 4).reshape(4, -1).T
+    place = n ** np.arange(3, -1, -1)  # party 1 the most significant digit
+    minima = np.concatenate([(group_images(chunk, group, n) @ place).min(axis=1)
+                             for chunk in np.array_split(product, -(-len(product) // 2000))])
+    expected = np.stack(np.unravel_index(np.unique(minima), (n,) * 4), axis=1)
+    assert np.array_equal(grid.indices, expected)
+
+
 @pytest.mark.parametrize("operator", ["mermin", "baccari", "zhao"])
 @pytest.mark.parametrize("grid_step", [math.pi / 12, math.pi / 24], ids=["pi/12", "pi/24"])
 def test_grid_matches_branch_resolved_grid(operator, grid_step):
