@@ -62,8 +62,7 @@ class BellFunctional:
     ideal_settings: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     def __post_init__(self):
-        if len(self.ideal_settings) != self.parties:
-            raise ValueError("one (input-0, input-1) observable pair per party required")
+        _validate_settings(self.ideal_settings, self.parties)
         for term in self.terms:
             if len(term.settings) != self.parties:
                 raise ValueError(f"term settings {list(term.settings)} do not name "
@@ -73,19 +72,16 @@ class BellFunctional:
             raise ValueError(f"beta_alg {self.beta_alg} != sum of |coefficients| {abs_sum}")
         if not self.beta_c <= self.beta_q <= self.beta_alg:
             raise ValueError("bounds must satisfy beta_c <= beta_q <= beta_alg")
-        for pair in self.ideal_settings:
-            for obs in pair:
-                if np.shape(obs) != (2, 2) or not is_dichotomic(obs):
-                    raise ValueError("ideal settings must be ±1-valued 2×2 observables")
 
 
 def _validate_settings(settings, parties: int) -> None:
+    """Raise ValueError unless there is one pair per party of ±1-valued 2×2 observables."""
     if len(settings) != parties:
         raise ValueError(f"expected {parties} setting pairs, got {len(settings)}")
     for pair in settings:
         for obs in pair:
-            if not is_dichotomic(obs):
-                raise ValueError("measurement settings must be ±1-valued observables")
+            if np.shape(obs) != (2, 2) or not is_dichotomic(obs):
+                raise ValueError("measurement settings must be ±1-valued 2×2 observables")
 
 
 def term_operator(term: BellTerm, settings) -> np.ndarray:

@@ -214,13 +214,16 @@ def sweep(
 ) -> list[tuple[float, float, str]]:
     """Curve data (x, value, operator) for the standard comparison panels.
 
-    left   — certified extractability vs noise α in the N→∞, ε₁=ε₂ limit;
-    middle — confidence 1−δ vs N at fixed η and α;
-    right  — certified extractability vs N at fixed δ and α;
-    fig4   — certified extractability vs N at a fixed measured pass rate.
+    left   — certified extractability vs noise α on its own grid, N→∞ and ε₁=ε₂;
+    middle — confidence 1−δ vs N at fixed η, with the pass rate P from α;
+    right  — certified extractability vs N at fixed δ, with P from α;
+    fig4   — certified extractability vs N at fixed δ and measured pass rate P.
+
+    δ and η are checked for every figure, whether or not it reads them.
     """
     if figure not in SWEEP_FIGURES:
         raise ValueError(f"unknown figure {figure!r}; choose from {SWEEP_FIGURES}")
+    check_delta(delta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta!r}")
     functional, game, bound = operator_context(operator)
@@ -228,39 +231,20 @@ def sweep(
 
     if figure == "left":
         for a in DEFAULT_ALPHA_GRID:
-            p = pass_probability(noisy_ghz(float(a)), game)
-            beta = (2.0 * p - 1.0) * functional.beta_alg
+            beta = (2.0 * noisy_pass_rate(operator, float(a)) - 1.0) * functional.beta_alg
             rows.append((float(a), extractability_bound(beta, bound), operator))
         return rows
 
-    grid = DEFAULT_N_GRID if n_grid is None else n_grid
-    if figure == "fig4":
-        if pass_rate is None:
-            raise ValueError("fig4 sweep needs a fixed pass rate")
-        p = pass_rate
-    else:
-        p = pass_probability(noisy_ghz(alpha), game)
-
-    if figure == "middle":
-        p2 = game.p_qm - bound.c * eta
-        for n in grid:
-            n = int(n)
-            if p <= p2:
-                rows.append((n, 0.0, operator))
-                continue
-            rows.append(
-                (n, 1.0 - confidence_bound(n, (n - 1) / n, p, p2), operator)
-            )
-        return rows
-
-    # right / fig4: invert for the maximum certified extractability
-    for n in grid:
+    if figure == "fig4" and pass_rate is None:
+        raise ValueError("fig4 sweep needs a fixed pass rate")
+    p = pass_rate if figure == "fig4" else noisy_pass_rate(operator, alpha)
+    for n in DEFAULT_N_GRID if n_grid is None else n_grid:
         n = int(n)
-        query = CertificationQuery(
-            n=n, delta=delta, pass_rate=p, bound=bound, p_qm=game.p_qm,
-            mu_meas=(n - 1) / n,
-        )
-        report = max_certified_extractability(query)
-        value = report.certified_extractability if report.feasible else math.nan
+        query = CertificationQuery(n, delta, p, bound, game.p_qm, mu_meas=(n - 1) / n)
+        if figure == "middle":
+            value = 1.0 - _delta_at_eta(query, eta)
+        else:  # right / fig4: invert for the maximum certified extractability
+            report = max_certified_extractability(query)
+            value = report.certified_extractability if report.feasible else math.nan
         rows.append((n, value, operator))
     return rows

@@ -136,11 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="comparison curves as CSV")
     p_sweep.add_argument("--figure", choices=SWEEP_FIGURES, required=True)
     p_sweep.add_argument("--operator", choices=OPERATOR_CHOICES, default="mermin")
-    p_sweep.add_argument("--alpha", type=float, default=0.05)
-    p_sweep.add_argument("--delta", type=float, default=0.01)
-    p_sweep.add_argument("--eta", type=float, default=0.25)
+    p_sweep.add_argument("--alpha", type=float, default=0.05,
+                         help="white-noise fraction that sets P (middle, right)")
+    p_sweep.add_argument("--delta", type=float, default=0.01,
+                         help="failure probability (right, fig4; checked for all figures)")
+    p_sweep.add_argument("--eta", type=float, default=0.25,
+                         help="1 - target extractability (middle; checked for all figures)")
     p_sweep.add_argument("--pass-rate", type=float, default=None,
-                         help="fixed pass rate (fig4 mode)")
+                         help="fixed measured pass rate P (fig4, where it is required)")
     add_common(p_sweep, seed=False)
 
     p_replay = sub.add_parser("replay", help="replay a JSONL event file")

@@ -1,10 +1,10 @@
 """Dense complex-matrix layer for few-qubit states and observables.
 
 Everything here is a plain ``numpy.ndarray``: the Pauli matrices, the 4-qubit
-GHZ and white-noise states, Kronecker products, expectation values and the
-Hermitian and dichotomic checks that the Bell functionals apply to their
-settings. The dimensions in play are 2, 4, 8 and 16, so no sparsity or
-cleverness is needed. All functions are pure.
+GHZ and white-noise states, Kronecker products, expectation values and the one
+dichotomic (Hermitian, ±1-valued) check that the Bell functionals and the
+self-test apply to measurement settings. The dimensions in play are 2, 4, 8
+and 16, so no sparsity or cleverness is needed. All functions are pure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from functools import reduce
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
 IMAG_TOL = 1e-10
 DICHOTOMIC_TOL = 1e-9
 
@@ -28,26 +27,6 @@ for _m in (I2, X, Y, Z):
 def kron_all(matrices) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty sequence (party 1 leftmost)."""
     return reduce(np.kron, matrices)
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m - m.conj().T)) <= tol
-    )
-
-
-def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Rejects inputs whose anti-Hermitian part exceeds ``tol``; the matrix is
-    symmetrized before solving so accumulated round-off from channel
-    compositions cannot leak into the eigensolver.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
 
 
 def ghz_vector() -> np.ndarray:
@@ -87,10 +66,13 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
 
 
 def is_dichotomic(obs: np.ndarray) -> bool:
-    """True when the observable is Hermitian and every eigenvalue is ±1, both
-    within ``DICHOTOMIC_TOL``."""
-    try:
-        eigs = hermitian_eigenvalues(obs, tol=DICHOTOMIC_TOL)
-    except ValueError:
+    """True when the observable is a non-empty square matrix that is Hermitian and
+    has every eigenvalue ±1, both within ``DICHOTOMIC_TOL``; the eigenvalues are
+    those of its Hermitian part, so round-off cannot leak into the eigensolver."""
+    m = np.asarray(obs, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         return False
+    if not np.max(np.abs(m - m.conj().T)) <= DICHOTOMIC_TOL:  # NaN fails too
+        return False
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return bool(np.max(np.abs(np.abs(eigs) - 1.0)) <= DICHOTOMIC_TOL)

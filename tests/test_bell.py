@@ -8,6 +8,7 @@ import pytest
 
 from ghzcert.bell import (
     BellTerm,
+    _validate_settings,
     baccari_functional,
     functional_from_json,
     get_functional,
@@ -19,9 +20,12 @@ from ghzcert.bell import (
     zhao_functional,
 )
 from ghzcert.quantum import (
+    X,
     Z,
     expectation,
     ghz_state,
+    is_dichotomic,
+    kron_all,
     maximally_mixed,
     noisy_ghz,
 )
@@ -210,6 +214,14 @@ def test_violation_rejects_non_dichotomic():
     bad = tuple((0.5 * Z, Z) if p == 0 else (Z, Z) for p in range(4))
     with pytest.raises(ValueError):
         violation_at(ghz_state(), f, bad)
+
+
+def test_settings_reject_dichotomic_observables_that_are_not_2x2():
+    four = kron_all([X, Z])
+    assert is_dichotomic(four)
+    settings = tuple((four, Z) if p == 0 else (Z, Z) for p in range(4))
+    with pytest.raises(ValueError, match="2×2"):
+        _validate_settings(settings, 4)
 
 
 def test_term_validation():

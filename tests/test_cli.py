@@ -114,8 +114,13 @@ IDEAL_SETTINGS_FILES = {
     "long_matrix_entry": _mermin_with(["ideal_settings", 0, 0, 0, 1], [0, 0, 0]),
 }
 BAD_OPERATOR_FILES.update(IDEAL_SETTINGS_FILES)
+# X⊗Z is dichotomic, but a setting acts on one qubit
+BAD_OPERATOR_FILES["four_by_four_setting"] = _mermin_with(
+    ["ideal_settings", 0, 0],
+    [[[float(v), 0.0] for v in row] for row in np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])])
 #: argv tokens whose usage error must name the field or flag at fault
 ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step", "{not_utf8}": "line 2: not valid UTF-8",
+               "{four_by_four_setting}": "2×2",
                **{f"{{{name}}}": "ideal_settings" for name in IDEAL_SETTINGS_FILES}}
 
 
@@ -169,6 +174,10 @@ ERROR_NAMES = {"--eta": "eta", "--grid-step": "grid step", "{not_utf8}": "line 2
         ["simulate", "--source", "block", "--block-length", str(2**63), "--n", "10"],
         ["simulate", "--n", str(2**62)],  # 4 EiB of rounds
         ["replay", "--input", "{not_utf8}"],  # a 0xff byte on line 2
+        ["sweep", "--figure", "left", "--delta", "nan"],  # left reads no delta, but checks it
+        ["sweep", "--figure", "middle", "--delta", "2"],
+        ["sweep", "--figure", "middle", "--delta", "0"],
+        ["bound", "--operator-file", "{four_by_four_setting}"],
     ],
 )
 def test_invalid_value_is_usage_error_with_json(argv, tmp_path, capsys):

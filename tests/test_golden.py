@@ -2,10 +2,11 @@
 
 The SHA-256 digests below are of the outputs of ``simulate`` (transcript file
 and stdout) for each source, of ``replay`` (stdout) in both modes, and of
-``bound`` (stdout) on seven operator grids; at π/60 the lazy pass clears whole
-grid cells at their vertices. Any change to a random draw, to a round's score,
-to the transcript format, to a certificate's bits or to the JSON summaries
-changes a digest.
+``bound`` (stdout) on seven operator grids, of every ``sweep`` figure's CSV and
+of ``certify`` (stdout) for each built-in operator; at π/60 the lazy pass clears
+whole grid cells at their vertices. Any change to a random draw, to a round's
+score, to the transcript format, to a certificate's bits, to a curve's value or
+to the JSON summaries changes a digest.
 """
 
 import hashlib
@@ -49,6 +50,29 @@ BOUND_GOLDEN = {
     ("mermin", 60): "489438ef2ba7112eed6bb0588cd7c24babf49b077c17b10f4365e5bc010b33c9",
     ("baccari", 60): "d0d2949f2258bce1f2a5e30f93aca6e2e0956d8ee52a4edfd0f84ce3d80d9eb0",
     ("zhao", 60): "91fff53c8992135aa6b831e8deba3458e320447957b01b0baeaa3ee061bb9677",
+}
+
+# (operator, figure) -> stdout digest at default flags, fig4 at --pass-rate 0.973
+SWEEP_GOLDEN = {
+    ("baccari", "left"): "40402e3098b5c7d6dafb8bfadbff7436494fa1727611ba738940eddb3af97c49",
+    ("baccari", "middle"): "e1eade8c18106bc62d2d70796a397e77100bcf82a3e84c98cdbe6c135160fd4a",
+    ("baccari", "right"): "65d144a521086c70a792a7f94c7ccc89e13c08694075b3136fb698f358c07227",
+    ("baccari", "fig4"): "24ebcf816691afaa4c2eb2cfa8c8ebac4b33d193cc39befc40ff9968dbd0ba25",
+    ("mermin", "left"): "653c405aa70c0b338ca8ecc097160ccb9b1095769ef96582e5cfda569cc51387",
+    ("mermin", "middle"): "95be890d0695fca2ac0b3f3d269724dbe019d771b545555505d3eef9c5765e48",
+    ("mermin", "right"): "98d57593dfb58cc70b484b5e7db3d17ae5f2a22e9ba83c7db0a179426c312ec9",
+    ("mermin", "fig4"): "d65fb64362404184f6ecd001964ce397ced46b5569099eeeaec00cf6900ae60c",
+    ("zhao", "left"): "356a5a98b6e1d8f58e2013c2cf617f254435f2875c859a88d6d4d209ad58538d",
+    ("zhao", "middle"): "c03f27abc144a73b131e83f06e34261b52389e65a91111c9f823df9fe8d9ccad",
+    ("zhao", "right"): "92f1292185472aa8547878e37b61b701dbca40c71996218603a77cad66c2a9f1",
+    ("zhao", "fig4"): "e00122376a0dfb2b7c968eade4909a6712f02206b5b4ebf37d2793ece97b2371",
+}
+
+# operator -> stdout digest of certify --n 4643 --delta 0.01 --pass-rate 0.973
+CERTIFY_GOLDEN = {
+    "baccari": "a1610d5b6f426956452e833b44484adba91dcf60da0e3693120066993dfd552e",
+    "mermin": "a4eae6c81c9aa3edcdb054a294fb71d83fdf0655ea9a465aee3e431dfe505ac2",
+    "zhao": "9db3f0a47ce505031afc724a0d7ec607cc80522cd16239985176fe09cf0d00ea",
 }
 
 
@@ -97,3 +121,20 @@ def test_bound_bytes_are_pinned(operator, pi_over, capsys):
     for threads in ("1", "2"):
         dispatch([*argv, "--threads", threads])
         assert _sha256(capsys.readouterr().out) == BOUND_GOLDEN[operator, pi_over]
+
+
+@pytest.mark.parametrize("operator, figure", sorted(SWEEP_GOLDEN))
+def test_sweep_bytes_are_pinned(operator, figure, capsys):
+    argv = ["sweep", "--figure", figure, "--operator", operator]
+    if figure == "fig4":
+        argv += ["--pass-rate", "0.973"]
+    assert dispatch(argv) == 0
+    assert _sha256(capsys.readouterr().out) == SWEEP_GOLDEN[operator, figure]
+
+
+@pytest.mark.parametrize("operator", sorted(CERTIFY_GOLDEN))
+def test_certify_bytes_are_pinned(operator, capsys):
+    argv = ["certify", "--n", "4643", "--delta", "0.01", "--pass-rate", "0.973",
+            "--operator", operator]
+    assert dispatch(argv) == 0
+    assert _sha256(capsys.readouterr().out) == CERTIFY_GOLDEN[operator]

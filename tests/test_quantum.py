@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghzcert.quantum import (
+    DICHOTOMIC_TOL,
     I2,
     X,
     Y,
@@ -11,7 +12,6 @@ from ghzcert.quantum import (
     expectation,
     ghz_state,
     ghz_vector,
-    hermitian_eigenvalues,
     is_dichotomic,
     kron_all,
     maximally_mixed,
@@ -45,7 +45,7 @@ def test_kron_zz_eigenvalues():
     # oracle: ZZ is diag(1, -1, -1, 1) by direct construction
     oracle = np.diag([1.0, -1.0, -1.0, 1.0])
     expected = np.sort(np.linalg.eigvalsh(oracle))
-    got = hermitian_eigenvalues(kron_all([Z, Z]))
+    got = np.linalg.eigvalsh(kron_all([Z, Z]))
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -63,11 +63,11 @@ def test_kron_associative_and_dims():
 
 
 def test_min_eigenvalue_identity():
-    assert hermitian_eigenvalues(np.eye(16, dtype=complex))[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(np.eye(16, dtype=complex))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_eigenvalue_z():
-    assert hermitian_eigenvalues(Z)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(Z)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_min_eigenvalue_mermin_operator():
@@ -87,14 +87,8 @@ def test_min_eigenvalue_mermin_operator():
         for s in settings:
             term = np.kron(term, obs[s])
         op += sign * term
-    assert hermitian_eigenvalues(op)[0] == pytest.approx(-8.0, abs=1e-9)
+    assert np.linalg.eigvalsh(op)[0] == pytest.approx(-8.0, abs=1e-9)
     assert np.max(np.linalg.eigvalsh(op)) == pytest.approx(8.0, abs=1e-9)
-
-
-def test_min_eigenvalue_rejects_nonhermitian():
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(bad)
 
 
 def test_ghz_trace_one():
@@ -173,7 +167,7 @@ def test_expectation_bilinear():
 def test_min_eigenvalue_below_rayleigh_quotients():
     rng = np.random.default_rng(13)
     h = random_hermitian(rng, 16)
-    lam = hermitian_eigenvalues(h)[0]
+    lam = np.linalg.eigvalsh(h)[0]
     for _ in range(100):
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
@@ -196,7 +190,32 @@ def test_check_density_matrix_rejects():
         check_density_matrix(Z)  # negative eigenvalue
 
 
-def test_is_dichotomic():
-    assert is_dichotomic(X) and is_dichotomic((X + Z) / np.sqrt(2))
-    assert not is_dichotomic(0.5 * X)
-    assert not is_dichotomic(np.array([[0, 1], [0, 0]], dtype=complex))
+def _with_entry(matrix, value):
+    out = np.array(matrix, dtype=complex)
+    out[0, 1] = value
+    return out
+
+
+#: name -> (matrix, is_dichotomic); the anti-Hermitian part i·t·Z moves M − M† by 2t
+DICHOTOMIC_CASES = {
+    "identity": (I2, True),
+    "minus_identity": (-I2, True),
+    "pauli_x": (X, True),
+    "rotated_xz": ((X + Z) / np.sqrt(2), True),
+    "four_by_four": (kron_all([X, Z]), True),
+    "half_x": (0.5 * X, False),
+    "nilpotent": (np.array([[0, 1], [0, 0]], dtype=complex), False),
+    "anti_hermitian_half_tol": (X + 0.25j * DICHOTOMIC_TOL * Z, True),
+    "anti_hermitian_twice_tol": (X + 1j * DICHOTOMIC_TOL * Z, False),
+    "nan_entry": (_with_entry(X, np.nan), False),
+    "inf_entry": (_with_entry(X, np.inf), False),
+    "empty": (np.zeros((0, 0), dtype=complex), False),
+    "one_dimensional": (np.array([1.0, -1.0]), False),
+    "two_by_three": (np.ones((2, 3), dtype=complex), False),
+}
+
+
+@pytest.mark.parametrize("name", DICHOTOMIC_CASES)
+def test_is_dichotomic(name):
+    matrix, expected = DICHOTOMIC_CASES[name]
+    assert is_dichotomic(matrix) is expected

@@ -18,7 +18,7 @@ from ghzcert.bell import (
     term_operator,
     zhao_functional,
 )
-from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, hermitian_eigenvalues, kron_all
+from ghzcert.quantum import I2, X, Y, Z, expectation, ghz_state, kron_all
 from ghzcert.selftest import (
     CELL_ROWS,
     DEFAULT_SLACK,
@@ -85,8 +85,9 @@ def test_jordan_observable_always_dichotomic():
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0, math.pi / 2, size=20):
         for setting in (0, 1):
-            eigs = hermitian_eigenvalues(jordan_observable(alpha, setting, MERMIN_BASIS))
-            assert np.allclose(sorted(eigs), [-1.0, 1.0], atol=1e-12)
+            obs = jordan_observable(alpha, setting, MERMIN_BASIS)
+            assert np.max(np.abs(obs - obs.conj().T)) <= 1e-12
+            assert np.allclose(np.linalg.eigvalsh(obs), [-1.0, 1.0], atol=1e-12)
 
 
 def test_jordan_observable_validation():
@@ -140,7 +141,8 @@ def test_build_K_trace_and_spectrum():
     for _ in range(10):
         k = build_K(tuple(rng.uniform(0, math.pi / 2, size=4)), mermin_functional())
         assert np.trace(k).real == pytest.approx(1.0, abs=1e-10)
-        eigs = hermitian_eigenvalues(k)
+        assert np.max(np.abs(k - k.conj().T)) <= 1e-12
+        eigs = np.linalg.eigvalsh(k)
         assert eigs[0] >= -1e-10 and eigs[-1] <= 1 + 1e-10
 
 
